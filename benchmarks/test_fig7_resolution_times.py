@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig, run_resolution_experiment
+from repro.api import RunSpec, run
 from repro.experiments.metrics import fraction_below, percentile
+from repro.scenarios import Scenario, ScenarioRunner, TopologySpec, WorkloadSpec
 
 from conftest import print_rows
 
@@ -19,19 +20,21 @@ L2_RETRIES = 1
 REPETITIONS = 3
 
 
-def _run(transport, rtype_name, seed=1):
+def _scenario(transport, rtype_name, seed=1):
     from repro.dns import RecordType
 
-    config = ExperimentConfig(
+    rtype = RecordType.AAAA if rtype_name == "AAAA" else RecordType.A
+    return Scenario(
         transport=transport,
-        rtype=RecordType.AAAA if rtype_name == "AAAA" else RecordType.A,
-        num_queries=50,
-        loss=LOSS,
-        l2_retries=L2_RETRIES,
+        topology=TopologySpec(loss=LOSS, l2_retries=L2_RETRIES),
+        workload=WorkloadSpec(num_queries=50, rtype_mix=((int(rtype), 1.0),)),
         seed=seed,
         run_duration=300.0,
     )
-    return run_resolution_experiment(config)
+
+
+def _run(transport, rtype_name, seed=1):
+    return ScenarioRunner().run(_scenario(transport, rtype_name, seed))
 
 
 class _Pooled:
@@ -54,12 +57,10 @@ def results():
     out = {}
     for rtype in ("A", "AAAA"):
         for transport in ("udp", "dtls", "coap", "coaps", "oscore"):
-            out[(transport, rtype)] = _Pooled(
-                [
-                    _run(transport, rtype, seed=1 + 1000 * rep)
-                    for rep in range(REPETITIONS)
-                ]
+            spec = RunSpec.from_scenario(
+                _scenario(transport, rtype), repeats=REPETITIONS
             )
+            out[(transport, rtype)] = _Pooled(run(spec).raw)
     return out
 
 

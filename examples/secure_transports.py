@@ -8,12 +8,8 @@ times, link-layer footprints, and the Figure 6 packet dissection.
 Run:  python examples/secure_transports.py
 """
 
-from repro.experiments import (
-    ExperimentConfig,
-    dissect_all,
-    percentile,
-    run_resolution_experiment,
-)
+from repro.experiments import dissect_all, percentile
+from repro.scenarios import Scenario, ScenarioRunner, TopologySpec
 
 
 def main() -> None:
@@ -34,10 +30,10 @@ def main() -> None:
     print("\n=== Resolution times, 50 queries at lambda=5/s (Figure 7) ===")
     print(f"{'transport':8s} {'success':>8s} {'median':>9s} {'p95':>9s} {'max':>9s}")
     for transport in ("udp", "dtls", "coap", "coaps", "oscore"):
-        config = ExperimentConfig(
-            transport=transport, num_queries=50, loss=0.15, l2_retries=1, seed=1
-        )
-        result = run_resolution_experiment(config)
+        result = ScenarioRunner().run(Scenario(
+            transport=transport,
+            topology=TopologySpec(loss=0.15, l2_retries=1),
+        ))
         times = result.resolution_times
         print(
             f"{transport:8s} {result.success_rate:8.2f} "

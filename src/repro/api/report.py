@@ -29,6 +29,13 @@ calibration — see :mod:`repro.fleet`). Reports produced from the same
 :class:`~repro.api.spec.RunSpec` on different substrates therefore
 carry identical non-namespaced key sets and diff directly.
 
+Each substrate converter reduces every run (or concurrently running
+part of a run, such as a load worker) to a :class:`RunTally`, and
+:func:`pool_tallies` is the one merge: counters and latency samples add
+up, cache ratios come from the pooled
+:class:`~repro.cache.CacheStats`, throughput adds up over concurrent
+parts and averages over repeats.
+
 This module is import-light on purpose (stdlib only at module level):
 :mod:`repro.live.loadgen` and :mod:`repro.perf` both import the shared
 :data:`REPORT_VERSION` / :func:`provenance` stamp from here without
@@ -128,15 +135,8 @@ def latency_metrics(latencies_s: Sequence[float]) -> Dict[str, Optional[float]]:
 
 
 def _cache_location_metrics(prefix: str, stats) -> Dict[str, object]:
-    """One location's :data:`CACHE_METRICS` from a ``CacheStats``-like
-    object (attribute access) or a plain mapping."""
-    values: Dict[str, object] = {}
-    for key in CACHE_METRICS:
-        if isinstance(stats, dict):
-            values[f"{prefix}.{key}"] = stats.get(key, 0)
-        else:
-            values[f"{prefix}.{key}"] = getattr(stats, key)
-    return values
+    """One location's :data:`CACHE_METRICS` from its ``CacheStats``."""
+    return {f"{prefix}.{key}": getattr(stats, key) for key in CACHE_METRICS}
 
 
 @dataclass
@@ -146,10 +146,11 @@ class Report:
     ``spec`` is the JSON-ready description of the
     :class:`~repro.api.spec.RunSpec` that produced the run; ``metrics``
     maps the stable dotted names documented in the module docstring to
-    scalars. ``raw`` keeps the substrate-native result object (an
-    :class:`~repro.experiments.resolution.ExperimentResult`, a list of
-    them, or the loadgen dict) for Python callers — it is never
-    serialised and does not participate in equality.
+    scalars. ``raw`` keeps the substrate-native input the converter
+    pooled (an :class:`~repro.experiments.resolution.ExperimentResult`,
+    a fleet result, a loadgen dict or distributed pass, or a list of
+    repeats) for Python callers — it is never serialised and does not
+    participate in equality.
     """
 
     substrate: str
@@ -226,6 +227,108 @@ class Report:
         return self.metrics[key]
 
 
+# -- the pooling step ------------------------------------------------------
+
+
+@dataclass
+class RunTally:
+    """One run, or one concurrently running part of a run, reduced to
+    what pooling needs.
+
+    ``latencies`` are success latencies in seconds, in issue order;
+    ``qps`` is the part's achieved throughput; ``cache`` maps a cache
+    location to its :class:`~repro.cache.CacheStats`; ``counters``
+    holds namespaced metrics that simply add up (link frames, server
+    counters, per-worker columns).
+    """
+
+    issued: int = 0
+    succeeded: int = 0
+    timeouts: int = 0
+    rcode_failures: int = 0
+    latencies: List[float] = field(default_factory=list)
+    qps: float = 0.0
+    cache: Dict[str, object] = field(default_factory=dict)
+    counters: Dict[str, float] = field(default_factory=dict)
+
+
+def pool_tallies(
+    tallies: Sequence[RunTally], concurrent: bool = False
+) -> RunTally:
+    """Pool runs into one tally: the single merge behind every Report.
+
+    Counters, cache counters and latency samples add up in the given
+    order. Throughput adds up over *concurrent* parts (load workers
+    share one window) and averages over repeats, which run one after
+    another and each restart the clock.
+    """
+    from repro.cache import CacheStats
+
+    if not tallies:
+        raise ReportError("cannot pool zero runs")
+    pooled = RunTally()
+    rates: List[float] = []
+    for tally in tallies:
+        pooled.issued += tally.issued
+        pooled.succeeded += tally.succeeded
+        pooled.timeouts += tally.timeouts
+        pooled.rcode_failures += tally.rcode_failures
+        pooled.latencies.extend(tally.latencies)
+        rates.append(tally.qps)
+        for location, stats in tally.cache.items():
+            pooled.cache.setdefault(location, CacheStats()).merge(stats)
+        for key, value in tally.counters.items():
+            pooled.counters[key] = pooled.counters.get(key, 0) + value
+    pooled.qps = sum(rates) if concurrent else sum(rates) / len(rates)
+    return pooled
+
+
+def tally_metrics(tally: RunTally, namespace: str) -> Dict[str, object]:
+    """A pooled tally as Report metrics: the common vocabulary, then
+    its counters.
+
+    Client-side cache locations are common; any other location is
+    namespaced under ``<namespace>.cache``.
+    """
+    issued, succeeded = tally.issued, tally.succeeded
+    metrics: Dict[str, object] = {
+        "queries.issued": issued,
+        "queries.succeeded": succeeded,
+        "queries.failed": issued - succeeded,
+        "queries.timeouts": tally.timeouts,
+        "queries.rcode_failures": tally.rcode_failures,
+        "queries.success_rate": succeeded / issued if issued else 0.0,
+    }
+    metrics.update(latency_metrics(tally.latencies))
+    metrics["throughput.qps"] = round(tally.qps, 3)
+    for location in sorted(tally.cache):
+        normalized = location.replace("-", "_")
+        prefix = (
+            "cache" if normalized in CLIENT_CACHE_LOCATIONS
+            else f"{namespace}.cache"
+        )
+        metrics.update(_cache_location_metrics(
+            f"{prefix}.{normalized}", tally.cache[location]
+        ))
+    metrics.update(tally.counters)
+    return metrics
+
+
+def cache_stats_from(counters: Dict[str, float]):
+    """A :class:`~repro.cache.CacheStats` from a counter mapping (extra
+    keys such as precomputed ratios are ignored)."""
+    from repro.cache import CacheStats
+
+    return CacheStats(**{
+        key: counters.get(key, 0) for key in CacheStats().as_dict()
+    })
+
+
+def as_runs(results) -> list:
+    """One result or a list of repeats, as a list."""
+    return list(results) if isinstance(results, (list, tuple)) else [results]
+
+
 # -- substrate converters --------------------------------------------------
 
 #: Error-name fragments classified as timeouts (sim outcomes record the
@@ -234,6 +337,12 @@ _TIMEOUT_MARKERS = ("timeout",)
 
 #: Error-name fragments classified as response-code failures.
 _RCODE_MARKERS = ("rcode", "nxdomain", "servfail", "docerror")
+
+#: Link counters of a simulated run, surfaced as ``sim.link.*``.
+_LINK_COUNTERS = (
+    "frames_1hop", "frames_2hop", "bytes_1hop", "bytes_2hop",
+    "queries_frames", "responses_frames",
+)
 
 
 def _classify_error(error_name: str) -> str:
@@ -245,6 +354,49 @@ def _classify_error(error_name: str) -> str:
     return "other"
 
 
+def _tally_experiment(result) -> RunTally:
+    """One simulated run as a tally.
+
+    Throughput spans this run's first arrival to its last success.
+    """
+    succeeded = timeouts = rcode_failures = 0
+    latencies: List[float] = []
+    first_issue: Optional[float] = None
+    last_done: Optional[float] = None
+    for outcome in result.outcomes:
+        if outcome.resolution_time is not None:
+            succeeded += 1
+            latencies.append(outcome.resolution_time)
+            done = outcome.issued_at + outcome.resolution_time
+            last_done = done if last_done is None else max(last_done, done)
+        elif outcome.error:
+            kind = _classify_error(outcome.error)
+            if kind == "timeout":
+                timeouts += 1
+            elif kind == "rcode":
+                rcode_failures += 1
+        if first_issue is None or outcome.issued_at < first_issue:
+            first_issue = outcome.issued_at
+    span = (
+        last_done - first_issue
+        if last_done is not None and first_issue is not None
+        else 0.0
+    )
+    return RunTally(
+        issued=len(result.outcomes),
+        succeeded=succeeded,
+        timeouts=timeouts,
+        rcode_failures=rcode_failures,
+        latencies=latencies,
+        qps=succeeded / span if span > 0 else 0.0,
+        cache=result.cache_stats,
+        counters={
+            f"sim.link.{key}": getattr(result.link, key)
+            for key in _LINK_COUNTERS
+        },
+    )
+
+
 def report_from_experiment_result(
     results,
     spec: Optional[Dict[str, object]] = None,
@@ -252,104 +404,28 @@ def report_from_experiment_result(
     """Build the unified Report from simulation output.
 
     *results* is one :class:`~repro.experiments.resolution.ExperimentResult`
-    or a list of them (repeated runs pool their samples: latencies and
-    counters aggregate, cache stats merge per location).
+    or a list of repeats, pooled by :func:`pool_tallies`. Resolver and
+    proxy caches, which only the simulator can see, are sim-namespaced.
     """
-    from repro.cache import CacheStats
-
-    single = not isinstance(results, (list, tuple))
-    pooled = [results] if single else list(results)
-    if not pooled:
-        raise ReportError("cannot report on zero experiment results")
-
-    issued = succeeded = timeouts = rcode_failures = 0
-    latencies: List[float] = []
-    qps_values: List[float] = []
-    link_totals = {
-        "frames_1hop": 0, "frames_2hop": 0,
-        "bytes_1hop": 0, "bytes_2hop": 0,
-        "queries_frames": 0, "responses_frames": 0,
-    }
-    cache_pool: Dict[str, CacheStats] = {}
-    for result in pooled:
-        issued += len(result.outcomes)
-        run_succeeded = 0
-        # Every repetition restarts the simulated clock, so throughput
-        # must be derived per run (first arrival -> last success) and
-        # averaged — the same aggregation the live substrate applies to
-        # its per-repeat achieved qps.
-        first_issue: Optional[float] = None
-        last_done: Optional[float] = None
-        for outcome in result.outcomes:
-            if outcome.resolution_time is not None:
-                run_succeeded += 1
-                latencies.append(outcome.resolution_time)
-                done = outcome.issued_at + outcome.resolution_time
-                last_done = done if last_done is None else max(last_done, done)
-            elif outcome.error:
-                kind = _classify_error(outcome.error)
-                if kind == "timeout":
-                    timeouts += 1
-                elif kind == "rcode":
-                    rcode_failures += 1
-            if first_issue is None or outcome.issued_at < first_issue:
-                first_issue = outcome.issued_at
-        succeeded += run_succeeded
-        span = (
-            last_done - first_issue
-            if last_done is not None and first_issue is not None
-            else 0.0
-        )
-        qps_values.append(run_succeeded / span if span > 0 else 0.0)
-        for key in link_totals:
-            link_totals[key] += getattr(result.link, key)
-        for location, stats in result.cache_stats.items():
-            cache_pool.setdefault(
-                location, CacheStats()
-            ).merge(stats)
-
-    metrics: Dict[str, object] = {
-        "queries.issued": issued,
-        "queries.succeeded": succeeded,
-        "queries.failed": issued - succeeded,
-        "queries.timeouts": timeouts,
-        "queries.rcode_failures": rcode_failures,
-        "queries.success_rate": succeeded / issued if issued else 0.0,
-    }
-    metrics.update(latency_metrics(latencies))
-    metrics["throughput.qps"] = round(
-        sum(qps_values) / len(qps_values), 3
+    runs = as_runs(results)
+    metrics = tally_metrics(
+        pool_tallies([_tally_experiment(result) for result in runs]), "sim"
     )
-    # Client-side cache locations are the common vocabulary; everything
-    # only the simulator can see (resolver, proxy) is sim-namespaced.
-    for location in sorted(cache_pool):
-        stats = cache_pool[location]
-        normalized = location.replace("-", "_")
-        if normalized in CLIENT_CACHE_LOCATIONS:
-            metrics.update(
-                _cache_location_metrics(f"cache.{normalized}", stats)
-            )
-        else:
-            metrics.update(
-                _cache_location_metrics(f"sim.cache.{normalized}", stats)
-            )
-    for key, value in link_totals.items():
-        metrics[f"sim.link.{key}"] = value
-    metrics["sim.repeats"] = len(pooled)
+    metrics["sim.repeats"] = len(runs)
     # The telemetry timeline only makes sense for one run: repeats
     # restart the simulated clock, so their per-second series would
     # overlay rather than concatenate.
     telemetry = None
-    if len(pooled) == 1 and pooled[0].outcomes:
+    if len(runs) == 1 and runs[0].outcomes:
         from repro.obs.telemetry import timeline_from_outcomes
 
-        telemetry = timeline_from_outcomes(pooled[0].outcomes)
+        telemetry = timeline_from_outcomes(runs[0].outcomes)
     return Report(
         substrate="sim",
         spec=spec if spec is not None else {},
         metrics=metrics,
         telemetry=telemetry,
-        raw=results if not single else pooled[0],
+        raw=results,
     )
 
 
@@ -359,182 +435,182 @@ _LOAD_WORKER_METRICS = (
     "achieved_qps",
 )
 
+#: Server counters surfaced as ``live.server.*``.
+_SERVER_METRICS = (
+    "queries_handled", "datagrams_received", "datagrams_sent",
+    "validations_sent",
+)
+
 #: Per-serve-worker counters surfaced as ``live.workers.serve.<i>.*``.
 _SERVE_WORKER_METRICS = (
     "queries_handled", "datagrams_received", "datagrams_sent",
 )
 
 
-def _worker_metrics(pooled, server_stats) -> Dict[str, object]:
-    """The ``live.workers.*`` namespace from sharded-run detail.
+def _tally_loadgen(report: Dict[str, object], worker: bool) -> RunTally:
+    """One load generator's report as a tally; a distributed *worker*
+    also contributes its ``live.workers.load.<i>.*`` column."""
+    tally = RunTally(
+        issued=report["queries"],
+        succeeded=report["succeeded"],
+        timeouts=report["timeouts"],
+        rcode_failures=report["rcode_failures"],
+        latencies=[ms / 1000 for ms in report.get("latencies_ms", ())],
+        qps=report["achieved_qps"],
+        cache={
+            location: cache_stats_from(stats)
+            for location, stats in report.get("cache", {}).items()
+        },
+    )
+    if worker:
+        index = report["worker"]
+        tally.counters = {
+            f"live.workers.load.{index}.{key}": report[key]
+            for key in _LOAD_WORKER_METRICS
+        }
+    return tally
 
-    Load-side detail rides in each merged loadgen report's ``workers``
-    block (:func:`repro.live.workers.merge_loadgen_reports`); serve-side
-    detail in *server_stats*' ``workers``/``runtime`` blocks
-    (:func:`repro.live.workers.merge_server_stats`). Per-worker counters
-    sum index-by-index across pooled repeats — summing any
-    ``live.workers.load.<i>.queries`` column therefore reproduces the
-    top-level ``queries.issued``. Single-process runs carry none of
-    these blocks and emit nothing, keeping their metric key set
-    identical to previous releases.
+
+def _tally_server(stats: Dict[str, object], worker: bool) -> RunTally:
+    """One server's stats block as a counters-only tally; a pool
+    *worker* also contributes its ``live.workers.serve.<i>.*`` column."""
+    counters = {
+        f"live.server.{key}": stats[key]
+        for key in _SERVER_METRICS if key in stats
+    }
+    if worker:
+        index = stats.get("worker", 0)
+        counters.update({
+            f"live.workers.serve.{index}.{key}": stats[key]
+            for key in _SERVE_WORKER_METRICS if key in stats
+        })
+    cache = stats.get("resolver_cache")
+    if isinstance(cache, dict):
+        counters["live.cache.resolver.hits"] = cache.get("hits", 0)
+        counters["live.cache.resolver.misses"] = cache.get("misses", 0)
+    return RunTally(counters=counters)
+
+
+def _serve_metrics(pools: List[Dict[str, object]]) -> Dict[str, object]:
+    """The ``live.workers.serve.*`` pool facts of sharded serving.
+
+    *pools* are :meth:`~repro.live.workers.ServePool.drain` blocks, one
+    per repeat. Runtime facts cannot change between repeats, so the
+    first block's stand; failures add up.
     """
-    metrics: Dict[str, object] = {}
-    load_totals: Dict[int, Dict[str, float]] = {}
-    load_failed = 0
-    for report in pooled:
-        block = report.get("workers")
-        if not isinstance(block, dict):
-            continue
-        load_failed += block.get("load_failed", 0)
-        for entry in block.get("load", ()):
-            totals = load_totals.setdefault(
-                int(entry.get("worker", 0)),
-                {key: 0 for key in _LOAD_WORKER_METRICS},
-            )
-            for key in _LOAD_WORKER_METRICS:
-                totals[key] += entry.get(key, 0)
-    if load_totals:
-        metrics["live.workers.load.count"] = len(load_totals)
-        metrics["live.workers.load.failed"] = load_failed
-        for index in sorted(load_totals):
-            for key in _LOAD_WORKER_METRICS:
-                value = load_totals[index][key]
-                metrics[f"live.workers.load.{index}.{key}"] = (
-                    round(value, 3) if key == "achieved_qps" else value
-                )
-    if server_stats:
-        runtime = server_stats.get("runtime")
-        per_worker = server_stats.get("workers")
-        if isinstance(runtime, dict):
-            metrics["live.workers.serve.count"] = runtime.get(
-                "serve_workers", 1
-            )
-            metrics["live.workers.serve.failed"] = server_stats.get(
-                "workers_failed", 0
-            )
-            failed_workers = server_stats.get("failed_workers", [])
-            metrics["live.workers.serve.failed_workers"] = (
-                ",".join(str(i) for i in failed_workers)
-                if failed_workers else None
-            )
-            metrics["live.workers.reuseport"] = bool(
-                runtime.get("reuseport")
-            )
-            metrics["live.workers.uvloop"] = bool(runtime.get("uvloop"))
-            metrics["live.workers.warning"] = runtime.get("warning")
-        if isinstance(per_worker, list):
-            for entry in per_worker:
-                index = entry.get("worker", 0)
-                for key in _SERVE_WORKER_METRICS:
-                    if key in entry:
-                        metrics[f"live.workers.serve.{index}.{key}"] = (
-                            entry[key]
-                        )
-    return metrics
+    runtime = pools[0]["runtime"]
+    failed = sorted({
+        index for block in pools for index in block.get("failed_workers", ())
+    })
+    return {
+        "live.workers.serve.count": runtime.get("serve_workers", 1),
+        "live.workers.serve.failed": sum(
+            block.get("workers_failed", 0) for block in pools
+        ),
+        "live.workers.serve.failed_workers": (
+            ",".join(str(index) for index in failed) if failed else None
+        ),
+        "live.workers.reuseport": bool(runtime.get("reuseport")),
+        "live.workers.uvloop": bool(runtime.get("uvloop")),
+        "live.workers.warning": runtime.get("warning"),
+    }
 
 
 def report_from_loadgen(
-    reports,
+    runs,
     spec: Optional[Dict[str, object]] = None,
-    server_stats: Optional[Dict[str, object]] = None,
+    server_stats=None,
 ) -> Report:
     """Build the unified Report from live load-generation output.
 
-    *reports* is one :func:`~repro.live.loadgen.generate_load` report
-    dict or a list of them (repeats pool: counters sum, latency
-    quantiles recompute from the pooled ``latencies_ms`` samples when
-    present, falling back to the single report's summary otherwise).
-    *server_stats* optionally attaches the paired
-    :class:`~repro.live.server.DocLiveServer` counters under
-    ``live.server.*``.
+    *runs* is one run or a list of repeats. A run is one
+    :func:`~repro.live.loadgen.generate_load` report dict, or the
+    ``{"load": [...], "load_failed": n}`` pass of
+    :func:`~repro.live.workers.run_distributed_load`, whose per-worker
+    reports ran concurrently and surface as ``live.workers.load.*``.
+    *server_stats* optionally attaches the paired server counters under
+    ``live.server.*``: one :class:`~repro.live.server.DocLiveServer` or
+    :class:`~repro.live.workers.ServePool` stats block, or a list of
+    them (one per repeat). Pool blocks also yield ``live.workers.serve.*``.
     """
-    single = not isinstance(reports, (list, tuple))
-    pooled = [reports] if single else list(reports)
-    if not pooled:
-        raise ReportError("cannot report on zero loadgen reports")
+    from repro.cache import CacheStats
 
-    counters = {
-        "queries": 0, "succeeded": 0, "failed": 0,
-        "timeouts": 0, "rcode_failures": 0,
-    }
-    latencies_ms: List[float] = []
-    have_samples = all("latencies_ms" in report for report in pooled)
+    raw = runs
+    runs = as_runs(runs)
+    repeats: List[RunTally] = []
     elapsed = 0.0
-    qps_values: List[float] = []
-    cache_pool: Dict[str, Dict[str, float]] = {}
-    for report in pooled:
-        for key in counters:
-            counters[key] += report[key]
-        elapsed += report["elapsed_s"]
-        qps_values.append(report["achieved_qps"])
-        if have_samples:
-            latencies_ms.extend(report["latencies_ms"])
-        for location, stats in report.get("cache", {}).items():
-            pool = cache_pool.setdefault(location, {})
-            for key in ("hits", "misses", "stale_hits", "validations",
-                        "validation_failures"):
-                pool[key] = pool.get(key, 0) + stats.get(key, 0)
+    load_failed = 0
+    load_workers = set()
+    for run in runs:
+        distributed = "load" in run
+        parts = run["load"] if distributed else [run]
+        if distributed:
+            load_failed += run["load_failed"]
+            load_workers.update(part["worker"] for part in parts)
+        repeats.append(pool_tallies(
+            [_tally_loadgen(part, distributed) for part in parts],
+            concurrent=True,
+        ))
+        elapsed += max(part["elapsed_s"] for part in parts)
+    pools: List[Dict[str, object]] = []
+    servers: List[RunTally] = []
+    for block in as_runs(server_stats) if server_stats is not None else []:
+        if "runtime" in block:
+            pools.append(block)
+            servers.extend(
+                _tally_server(entry, True) for entry in block["workers"]
+            )
+        else:
+            servers.append(_tally_server(block, False))
+    # Server parts carry counters only, so pooling them alongside the
+    # load leaves throughput untouched.
+    tally = pool_tallies([pool_tallies(repeats), *servers], concurrent=True)
 
-    completed = counters["succeeded"] + counters["failed"]
-    metrics: Dict[str, object] = {
-        "queries.issued": counters["queries"],
-        "queries.succeeded": counters["succeeded"],
-        "queries.failed": counters["failed"],
-        "queries.timeouts": counters["timeouts"],
-        "queries.rcode_failures": counters["rcode_failures"],
-        "queries.success_rate": (
-            counters["succeeded"] / completed if completed else 0.0
-        ),
-    }
-    if have_samples:
-        metrics.update(latency_metrics([ms / 1000 for ms in latencies_ms]))
-    else:
-        summary = pooled[0]["latency_ms"]
-        for key in LATENCY_METRICS:
-            metrics[f"latency.{key}"] = summary[key.replace("_ms", "")]
-    metrics["throughput.qps"] = (
-        round(sum(qps_values) / len(qps_values), 3) if qps_values else 0.0
+    metrics = tally_metrics(tally, "live")
+    for key in metrics:
+        if key.endswith(".achieved_qps"):
+            metrics[key] = round(metrics[key], 3)
+    if "live.cache.resolver.hits" in metrics:
+        metrics["live.cache.resolver.hit_ratio"] = CacheStats(
+            hits=metrics["live.cache.resolver.hits"],
+            misses=metrics["live.cache.resolver.misses"],
+        ).hit_ratio
+    first = runs[0]["load"] if "load" in runs[0] else [runs[0]]
+    mode = first[0]["mode"]
+    metrics["live.mode"] = mode
+    # Concurrent load workers split the offered load between them.
+    metrics["live.offered_rate_qps"] = (
+        round(sum(part["offered_rate_qps"] for part in first), 3)
+        if mode == "open" else None
     )
-    for location in sorted(cache_pool):
-        pool = cache_pool[location]
-        hits, misses = pool.get("hits", 0), pool.get("misses", 0)
-        stale = pool.get("stale_hits", 0)
-        validations = pool.get("validations", 0)
-        lookups = hits + misses + stale
-        # Recompute the derived ratios from the pooled counters with
-        # the exact repro.cache.CacheStats definitions (in particular,
-        # validation_ratio is validations *per stale hit*) so sim and
-        # live values of the same metric mean the same thing.
-        pool["hit_ratio"] = hits / lookups if lookups else 0.0
-        pool["stale_ratio"] = stale / lookups if lookups else 0.0
-        pool["validation_ratio"] = validations / stale if stale else 0.0
-        metrics.update(_cache_location_metrics(f"cache.{location}", pool))
-
-    first = pooled[0]
-    metrics["live.mode"] = first["mode"]
-    metrics["live.offered_rate_qps"] = first["offered_rate_qps"]
-    metrics["live.concurrency"] = first["concurrency"]
+    metrics["live.concurrency"] = (
+        sum(part["concurrency"] for part in first)
+        if mode == "closed" else None
+    )
     metrics["live.elapsed_s"] = round(elapsed, 3)
-    metrics["live.repeats"] = len(pooled)
-    metrics.update(_worker_metrics(pooled, server_stats))
-    if server_stats:
-        for key in ("queries_handled", "datagrams_received",
-                    "datagrams_sent", "validations_sent"):
-            if key in server_stats:
-                metrics[f"live.server.{key}"] = server_stats[key]
-        resolver_cache = server_stats.get("resolver_cache")
-        if isinstance(resolver_cache, dict):
-            for key, value in resolver_cache.items():
-                metrics[f"live.cache.resolver.{key}"] = value
+    metrics["live.repeats"] = len(runs)
+    if load_workers:
+        metrics["live.workers.load.count"] = len(load_workers)
+        metrics["live.workers.load.failed"] = load_failed
+    if pools:
+        metrics.update(_serve_metrics(pools))
     # Same single-run rule as the sim side: repeats restart the clock,
     # so only an unrepeated run carries its per-second series.
-    telemetry = pooled[0].get("telemetry") if len(pooled) == 1 else None
+    telemetry = None
+    if len(runs) == 1 and len(first) == 1:
+        telemetry = first[0].get("telemetry")
+    elif len(runs) == 1:
+        from repro.obs.telemetry import merge_timelines
+
+        telemetry = merge_timelines(
+            [part.get("telemetry") or [] for part in first]
+        )
     return Report(
         substrate="live",
         spec=spec if spec is not None else {},
         metrics=metrics,
         telemetry=list(telemetry) if telemetry else None,
-        raw=reports if not single else pooled[0],
+        raw=raw,
     )
 
 

@@ -3,10 +3,11 @@
 The sim path compiles the spec to a
 :class:`~repro.scenarios.ScenarioRunner` execution (repeats fan out
 over the :mod:`~repro.scenarios.executors` backends); the live path
-compiles it to a serve+loadtest pairing — a loopback
-:class:`~repro.live.server.DocLiveServer` (or an externally provided
-endpoint) driven by :func:`~repro.live.loadgen.generate_load` through a
-:class:`~repro.live.client.LiveResolver`; the fleet path compiles it to
+compiles it to one serve+load pass per repeat — a loopback
+:class:`~repro.live.server.DocLiveServer`, a sharded
+:class:`~repro.live.workers.ServePool` or an external endpoint, driven
+by :func:`~repro.live.loadgen.generate_load` inline or by
+:func:`~repro.live.workers.run_distributed_load`; the fleet path compiles it to
 a :func:`~repro.fleet.run_fleet` aggregate pass (repeats fan out over
 the same executor backends). All paths emit the same versioned
 :class:`~repro.api.report.Report`.
@@ -14,26 +15,19 @@ the same executor backends). All paths emit the same versioned
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.obs.log import get_logger
 
 from .report import Report, report_from_experiment_result, report_from_loadgen
-from .spec import ApiError, RunSpec
+from .spec import RunSpec
 
 _log = get_logger("repro.api.runner")
 
 
-def run(spec: Union[RunSpec, str], *, _config=None) -> Report:
+def run(spec: Union[RunSpec, str]) -> Report:
     """Execute *spec* (a :class:`RunSpec` or a spec string) and return
-    its :class:`~repro.api.report.Report`.
-
-    ``_config`` is the legacy-adapter hook: when
-    :func:`~repro.experiments.resolution.run_resolution_experiment`
-    delegates here it passes its :class:`ExperimentConfig` through so
-    the underlying :class:`ExperimentResult` (``report.raw``) stays
-    bit-identical to the pre-façade output.
-    """
+    its :class:`~repro.api.report.Report`."""
     if isinstance(spec, str):
         spec = RunSpec.from_spec(spec)
     log = _log.bind(
@@ -43,14 +37,10 @@ def run(spec: Union[RunSpec, str], *, _config=None) -> Report:
     )
     log.info("run starting")
     if spec.substrate == "sim":
-        report = _run_sim(spec, _config=_config)
+        report = _run_sim(spec)
     elif spec.substrate == "fleet":
-        if _config is not None:
-            raise ApiError("_config applies to the sim substrate only")
         report = _run_fleet(spec)
     else:
-        if _config is not None:
-            raise ApiError("_config applies to the sim substrate only")
         report = _run_live(spec)
     log.info(
         "run finished",
@@ -63,13 +53,13 @@ def run(spec: Union[RunSpec, str], *, _config=None) -> Report:
     return report
 
 
-def _run_sim(spec: RunSpec, _config=None) -> Report:
+def _run_sim(spec: RunSpec) -> Report:
     from repro.scenarios.executors import get_executor
     from repro.scenarios.runner import ScenarioRunner
 
     if spec.repeats == 1:
         result = ScenarioRunner().run(
-            spec.to_scenario(), _config, frame_capture="records"
+            spec.to_scenario(), frame_capture="records"
         )
         return report_from_experiment_result(result, spec=spec.to_dict())
     scenarios = [spec.to_scenario(seed) for seed in spec.repeat_seeds()]
@@ -109,95 +99,114 @@ def _run_one_fleet(job):
 
 
 def _run_live(spec: RunSpec) -> Report:
-    import asyncio
-
-    if spec.live.serve_workers > 1 or spec.live.load_workers > 1:
-        # The sharded pairing forks worker processes and must own the
-        # process (no surrounding event loop), so it branches before
-        # asyncio.run rather than inside it.
-        from repro.live.workers import run_sharded_spec
-
-        return run_sharded_spec(spec)
-    return asyncio.run(_run_live_async(spec))
-
-
-async def _run_live_async(spec: RunSpec) -> Report:
-    """The serve+loadtest pairing, one pass per repeat.
+    """The serve+load pairing, one pass per repeat.
 
     Self-serving runs restart the server per repetition so each repeat
     is an independent measurement (and OSCORE sender sequences restart
     cleanly, see :class:`~repro.live.client.LiveResolver`).
     """
-    reports = []
-    server_stats = None
+    runs = []
+    server_stats = []
     for seed in spec.repeat_seeds():
-        report, stats = await _live_once(spec, seed)
-        reports.append(report)
-        server_stats = _merge_server_stats(server_stats, stats)
-    unified = report_from_loadgen(
-        reports if spec.repeats > 1 else reports[0],
+        load, stats = _live_repeat(spec, seed)
+        runs.append(load)
+        if stats is not None:
+            server_stats.append(stats)
+    return report_from_loadgen(
+        runs if spec.repeats > 1 else runs[0],
         spec=spec.to_dict(),
         server_stats=server_stats,
     )
-    return unified
 
 
-def _merge_server_stats(merged, stats):
-    """Accumulate per-repeat server counters (each repeat runs a fresh
-    loopback server, so `live.server.*` must sum across them)."""
-    if stats is None:
-        return merged
-    if merged is None:
-        return dict(stats)
-    for key in ("queries_handled", "validations_sent",
-                "datagrams_received", "datagrams_sent"):
-        if key in stats:
-            merged[key] = merged.get(key, 0) + stats[key]
-    cache = stats.get("resolver_cache")
-    if isinstance(cache, dict):
-        pooled = merged.setdefault("resolver_cache", {"hits": 0, "misses": 0})
-        for key in ("hits", "misses"):
-            pooled[key] = pooled.get(key, 0) + cache.get(key, 0)
-        lookups = pooled["hits"] + pooled["misses"]
-        pooled["hit_ratio"] = pooled["hits"] / lookups if lookups else 0.0
-    return merged
+def _live_repeat(spec: RunSpec, seed: int):
+    """One repeat: the serve step, then the load step.
+
+    The server is an external host, a forked :class:`ServePool` when
+    either side is sharded, or else an in-process
+    :class:`~repro.live.server.DocLiveServer` sharing the load
+    generator's event loop. Load runs inline, or over forked
+    generators when ``load_workers`` > 1. Both forks happen here,
+    outside any running event loop. Returns the loadgen report (or
+    distributed pass) and the server stats (``None`` for an external
+    host).
+    """
+    import asyncio
+
+    from repro.live.workers import ServePool, run_distributed_load
+
+    scenario = spec.to_scenario(seed)
+    workload = scenario.workload
+    options = spec.live
+    # The zone derives from this repeat's seed on every serve worker:
+    # any worker must answer any query identically, so the per-worker
+    # decorrelation lives in the load side only.
+    server_kwargs = dict(
+        transport=scenario.transport,
+        host="127.0.0.1",
+        port=options.port,
+        num_names=workload.num_names,
+        dataset=options.dataset,
+        name_seed=options.name_seed,
+        ttl=workload.ttl,
+        scheme=scenario.scheme,
+        seed=seed,
+    )
+    endpoint = None if options.host is None else (options.host, options.port)
+    pool = None
+    if endpoint is None and (
+        options.serve_workers > 1 or options.load_workers > 1
+    ):
+        pool = ServePool(workers=options.serve_workers, **server_kwargs)
+        endpoint = pool.start()
+    try:
+        stats = None
+        if options.load_workers > 1:
+            load = run_distributed_load(
+                endpoint,
+                transport=scenario.transport,
+                scheme=scenario.scheme,
+                cache_placement=spec.client_cache_placement(),
+                block_size=scenario.block_size,
+                timeout=options.timeout,
+                num_names=workload.num_names,
+                dataset=options.dataset,
+                name_seed=options.name_seed,
+                rate=workload.query_rate,
+                duration=workload.num_queries / workload.query_rate,
+                mode=options.mode,
+                concurrency=options.concurrency,
+                seed=seed,
+                workload=workload,
+                workers=options.load_workers,
+            )
+        else:
+            load, stats = asyncio.run(
+                _load_inline(spec, scenario, endpoint, server_kwargs)
+            )
+        if pool is not None:
+            stats = pool.drain()
+    finally:
+        if pool is not None:
+            pool.terminate()
+    return load, stats
 
 
-async def _live_once(spec: RunSpec, seed: int):
+async def _load_inline(spec: RunSpec, scenario, endpoint, server_kwargs):
+    """The in-process load step; with no *endpoint* it also serves in
+    process. Returns the loadgen report and the server stats."""
     from repro.live.client import LiveResolver
     from repro.live.loadgen import generate_load
     from repro.live.server import DocLiveServer
     from repro.live.wiring import build_names
 
-    scenario = spec.to_scenario(seed)
     workload = scenario.workload
     options = spec.live
-    rate = workload.query_rate
-    duration = workload.num_queries / rate
-
-    server: Optional[DocLiveServer] = None
-    if options.host is None:
-        server = DocLiveServer(
-            transport=scenario.transport,
-            host="127.0.0.1",
-            port=options.port,
-            num_names=workload.num_names,
-            dataset=options.dataset,
-            name_seed=options.name_seed,
-            ttl=workload.ttl,
-            scheme=scenario.scheme,
-            seed=seed,
-        )
+    server = None
+    if endpoint is None:
+        server = DocLiveServer(**server_kwargs)
         await server.start()
         endpoint = server.endpoint
-        names = server.names
-    else:
-        endpoint = (options.host, options.port)
-        names = build_names(
-            workload.num_names,
-            dataset=options.dataset,
-            name_seed=options.name_seed,
-        )
     try:
         resolver = LiveResolver(
             endpoint,
@@ -205,24 +214,27 @@ async def _live_once(spec: RunSpec, seed: int):
             scheme=scenario.scheme,
             cache_placement=spec.client_cache_placement(),
             block_size=scenario.block_size,
-            seed=seed + 1,
+            seed=scenario.seed + 1,
             timeout=options.timeout,
         )
         async with resolver:
             report = await generate_load(
                 resolver,
-                names,
-                rate=rate,
-                duration=duration,
+                build_names(
+                    workload.num_names,
+                    dataset=options.dataset,
+                    name_seed=options.name_seed,
+                ),
+                rate=workload.query_rate,
+                duration=workload.num_queries / workload.query_rate,
                 mode=options.mode,
                 concurrency=options.concurrency,
                 timeout=options.timeout,
-                seed=seed,
+                seed=scenario.seed,
                 workload=workload,
                 include_latencies=True,
             )
-        stats = server.stats() if server is not None else None
+        return report, server.stats() if server is not None else None
     finally:
         if server is not None:
             await server.stop()
-    return report, stats

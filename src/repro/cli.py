@@ -135,8 +135,8 @@ def _emit_json(payload: dict, dest: str) -> None:
 
 
 def _print_report(report) -> None:
-    """Human summary of a unified Report (shared by ``run`` and
-    ``experiment``)."""
+    """Human summary of a unified Report (shared by ``run``,
+    ``experiment`` and ``loadtest``)."""
     metrics = report.metrics
     spec = report.spec
     print(f"substrate:        {report.substrate}")
@@ -628,33 +628,35 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
     stats = pool.drain()
     if obs_http is not None:
         obs_http.stop()
-    per_worker = " + ".join(
-        str(worker.get("queries_handled", 0))
-        for worker in stats.get("workers", [])
-    )
-    print(f"served {stats.get('queries_handled', 0)} queries "
+    handled = [
+        worker.get("queries_handled", 0) for worker in stats["workers"]
+    ]
+    per_worker = " + ".join(str(count) for count in handled)
+    print(f"served {sum(handled)} queries "
           f"across {pool.workers} workers ({per_worker or 0}; "
           f"{stats['io']['recv_bursts']} bursts, "
           f"{stats['workers_failed']} workers failed)")
     return pool.exit_code
 
 
-def _loadtest_report(args: argparse.Namespace, workload, report):
-    """The unified Report for one ``loadtest`` pass: the loadgen dict
-    plus the RunSpec description reconstructed from the CLI flags."""
+def _loadtest_report(args: argparse.Namespace, workload, load):
+    """The unified Report for one ``loadtest`` pass: the loadgen report
+    (or distributed pass) plus the RunSpec description reconstructed
+    from the CLI flags."""
     from dataclasses import replace
 
     from repro.api import LiveOptions, RunSpec
     from repro.api.report import report_from_loadgen
     from repro.scenarios import CachingSpec, Scenario
 
-    spec = RunSpec(
+    report = report_from_loadgen(load)
+    report.spec = RunSpec(
         scenario=Scenario(
             name="loadtest",
             transport=args.transport,
             workload=replace(
                 workload,
-                num_queries=max(1, report["queries"]),
+                num_queries=max(1, report.metrics["queries.issued"]),
                 num_names=args.names,
                 query_rate=(
                     args.rate if args.mode == "open" else workload.query_rate
@@ -676,8 +678,8 @@ def _loadtest_report(args: argparse.Namespace, workload, report):
             dataset=args.dataset, name_seed=args.name_seed,
             load_workers=args.workers,
         ),
-    )
-    return report_from_loadgen(report, spec=spec.to_dict())
+    ).to_dict()
+    return report
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
@@ -739,13 +741,14 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
                 timeout=args.timeout,
                 seed=args.seed,
                 workload=workload,
+                include_latencies=True,
                 snapshot_sinks=sinks,
             )
 
     if args.workers > 1:
         from repro.live import run_distributed_load
 
-        report = run_distributed_load(
+        load = run_distributed_load(
             (args.host, args.port),
             transport=args.transport,
             scheme=_parse_scheme(args.cache_scheme),
@@ -765,36 +768,21 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         )
     else:
         try:
-            report = asyncio.run(run())
+            load = asyncio.run(run())
         finally:
             if stream_close is not None:
                 stream_close()
+    # The output is the unified Report — the same document `repro run`
+    # emits — with the loadgen report available as its raw form.
+    report = _loadtest_report(args, workload, load)
     if args.json is not None:
-        # The machine-readable output is the unified Report — the same
-        # document `repro run` and `experiment --json` emit — with the
-        # flat loadgen dict available as its raw form.
-        _emit_json(_loadtest_report(args, workload, report).to_json(),
-                   args.json)
+        _emit_json(report.to_json(), args.json)
     else:
-        latency = report["latency_ms"]
-        print(f"transport:     {report['transport']} ({report['mode']} loop)")
-        print(f"queries:       {report['queries']} in {report['elapsed_s']} s")
-        print(f"success rate:  {report['success_rate']:.2%} "
-              f"({report['timeouts']} timeouts)")
-        print(f"achieved qps:  {report['achieved_qps']}")
-        if "workers" in report:
-            per = ", ".join(
-                f"#{worker['worker']} {worker['achieved_qps']}"
-                for worker in report["workers"]["load"]
-            )
-            print(f"load workers:  {per}")
-        if latency["p50"] is not None:
-            print(f"latency p50:   {latency['p50']:.2f} ms")
-            print(f"latency p95:   {latency['p95']:.2f} ms")
-            print(f"latency p99:   {latency['p99']:.2f} ms")
-        for location, stats in sorted(report["cache"].items()):
-            print(f"cache {location:12s} hit-ratio {stats['hit_ratio']:.0%}")
-    return 0 if report["queries"] and report["success_rate"] > 0 else 1
+        _print_report(report)
+    return 0 if (
+        report.metrics["queries.issued"]
+        and report.metrics["queries.success_rate"] > 0
+    ) else 1
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:

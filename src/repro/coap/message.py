@@ -8,6 +8,7 @@ from typing import List, Optional, Tuple
 
 from .codes import CODE_BY_VALUE, Code
 from .options import (
+    CoapMessageError,
     OptionNumber,
     _decode_options,
     decode_uint,
@@ -18,10 +19,6 @@ from .options import (
 COAP_VERSION = 1
 COAP_DEFAULT_PORT = 5683
 COAPS_DEFAULT_PORT = 5684
-
-
-class CoapMessageError(ValueError):
-    """Raised on malformed CoAP messages."""
 
 
 class MessageType(enum.IntEnum):

@@ -112,7 +112,12 @@ def option_def(number: int) -> OptionDef | None:
         return None
 
 
-class OptionError(ValueError):
+class CoapMessageError(ValueError):
+    """Raised on malformed CoAP messages; every CoAP codec error derives
+    from it, so one ``except`` covers a receive path."""
+
+
+class OptionError(CoapMessageError):
     """Raised on malformed option encodings."""
 
 

@@ -149,7 +149,15 @@ def decode_name(data, offset: int) -> Tuple[str, int]:
             raise NameError_("truncated label")
         # ``str(buffer, ...)`` decodes straight from the buffer, so the
         # label slice is the only intermediate and works for views too.
-        label_append(str(data[position:next_position], "ascii", "replace"))
+        # Labels must round-trip byte for byte: non-ASCII bytes, and dots
+        # that would re-encode as a label boundary, are rejected.
+        try:
+            label = str(data[position:next_position], "ascii")
+        except UnicodeDecodeError:
+            raise NameError_("non-ASCII byte in label") from None
+        if "." in label:
+            raise NameError_("dot inside a label")
+        label_append(label)
         position = next_position
         decoded_length += length + 1
         if decoded_length > MAX_NAME_LENGTH:

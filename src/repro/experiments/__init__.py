@@ -2,8 +2,8 @@
 
 * :mod:`repro.experiments.packet_sizes` — byte-exact construction and
   per-layer dissection of the canonical messages (Figures 6, 14);
-* :mod:`repro.experiments.resolution` — the Figure 2 testbed runs
-  behind Figures 7, 10, 11, 15;
+* :mod:`repro.experiments.resolution` — the result structs of the
+  testbed runs behind Figures 7, 10, 11, 15;
 * :mod:`repro.experiments.metrics` — CDFs, quartiles, histograms.
 """
 
@@ -15,19 +15,10 @@ from .packet_sizes import (
     FRAGMENTATION_LIMIT,
 )
 from .metrics import cdf, percentile, quantiles, summary_stats
-from .resolution import (
-    ExperimentConfig,
-    ExperimentResult,
-    LinkUtilization,
-    QueryOutcome,
-    pooled_resolution_times,
-    run_repeated,
-    run_resolution_experiment,
-)
+from .resolution import ExperimentResult, LinkUtilization, QueryOutcome
 from .timelines import TimelinePoint, event_timeline, offsets_in_windows
 
 __all__ = [
-    "ExperimentConfig",
     "ExperimentResult",
     "FRAGMENTATION_LIMIT",
     "LinkUtilization",
@@ -39,9 +30,6 @@ __all__ = [
     "dissect_transport",
     "percentile",
     "quantiles",
-    "run_repeated",
-    "pooled_resolution_times",
-    "run_resolution_experiment",
     "TimelinePoint",
     "event_timeline",
     "offsets_in_windows",

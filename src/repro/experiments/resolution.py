@@ -1,126 +1,26 @@
-"""The testbed harness behind Figures 7, 10, 11, and 15.
+"""The metrics structs of one testbed run (Figures 7, 10, 11, 15).
 
-:class:`ExperimentConfig` is the paper-shaped façade: one transport on
-the Figure 2 two-hop topology. Since the scenario engine landed it is a
-thin layer — :func:`run_resolution_experiment` converts the config into
-a :class:`~repro.scenarios.Scenario` and hands it to
-:class:`~repro.scenarios.ScenarioRunner`, which dispatches all
-transport specifics through the plugin registry. The metrics structs
-(:class:`ExperimentResult`, :class:`LinkUtilization`,
-:class:`QueryOutcome`) stay here; both the legacy entry point and
-scenario-native runs emit them.
+:meth:`~repro.scenarios.ScenarioRunner.run` emits an
+:class:`ExperimentResult` of :class:`QueryOutcome` rows and a
+:class:`LinkUtilization`; :func:`repro.api.run` wraps it in the unified
+Report (as ``report.raw``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cache import CacheStats
-from repro.coap.codes import Code
 from repro.coap.endpoint import ClientEvent
-from repro.dns import RecordType, Zone
-from repro.doc import CachingScheme
-from repro.scenarios.runner import NAME_TEMPLATE, build_workload_zone
+from repro.scenarios.runner import NAME_TEMPLATE
 
 __all__ = [
-    "ExperimentConfig",
     "ExperimentResult",
     "LinkUtilization",
     "NAME_TEMPLATE",
     "QueryOutcome",
-    "build_zone",
-    "pooled_resolution_times",
-    "run_repeated",
-    "run_resolution_experiment",
 ]
-
-
-@dataclass
-class ExperimentConfig:
-    """Parameters of one testbed run (the paper's Figure 2 setup).
-
-    .. deprecated::
-        Kept as a paper-shaped adapter; prefer describing runs with a
-        :class:`repro.api.RunSpec` (see :meth:`to_run_spec`) and
-        consuming the unified :class:`repro.api.Report`.
-    """
-
-    transport: str = "coap"          # any simulatable registry profile
-    method: Code = Code.FETCH
-    rtype: int = RecordType.AAAA
-    num_queries: int = 50
-    num_names: int = 50
-    records_per_name: int = 1
-    ttl: Tuple[int, int] = (300, 300)
-    query_rate: float = 5.0
-    clients: int = 2
-    loss: float = 0.05
-    seed: int = 1
-    use_proxy: bool = False
-    client_coap_cache: bool = False
-    client_dns_cache: bool = False
-    scheme: CachingScheme = CachingScheme.EOL_TTLS
-    block_size: Optional[int] = None
-    run_duration: float = 300.0
-    #: MAC retransmissions; lower values expose CoAP-layer corrective
-    #: actions (the paper's lossy testbed regime).
-    l2_retries: int = 3
-
-    def __post_init__(self) -> None:
-        from repro.transports.registry import registry
-
-        profile = registry.get(self.transport)
-        if not profile.simulatable:
-            raise ValueError(
-                f"transport {self.transport!r} is model-only and cannot run"
-            )
-        if self.use_proxy and not profile.coap_based:
-            raise ValueError("the CoAP proxy requires a CoAP transport")
-
-    def to_scenario(self) -> "Scenario":
-        """The equivalent declarative scenario (Figure 2 topology)."""
-        from repro.scenarios import Scenario, TopologySpec, WorkloadSpec
-
-        return Scenario(
-            name=f"experiment/{self.transport}",
-            transport=self.transport,
-            topology=TopologySpec(
-                name="figure2",
-                hops=2,
-                clients=self.clients,
-                loss=self.loss,
-                l2_retries=self.l2_retries,
-            ),
-            workload=WorkloadSpec(
-                num_queries=self.num_queries,
-                num_names=self.num_names,
-                records_per_name=self.records_per_name,
-                query_rate=self.query_rate,
-                rtype_mix=((int(self.rtype), 1.0),),
-                ttl=self.ttl,
-            ),
-            method=self.method,
-            scheme=self.scheme,
-            use_proxy=self.use_proxy,
-            client_coap_cache=self.client_coap_cache,
-            client_dns_cache=self.client_dns_cache,
-            block_size=self.block_size,
-            seed=self.seed,
-            run_duration=self.run_duration,
-        )
-
-    def to_run_spec(self) -> "RunSpec":
-        """The equivalent :class:`repro.api.RunSpec` (sim substrate).
-
-        The migration hook of the deprecated paper-shaped config:
-        ``repro.api.run(config.to_run_spec())`` returns the unified
-        Report whose ``raw`` field is the classic
-        :class:`ExperimentResult`.
-        """
-        from repro.api import RunSpec
-
-        return RunSpec.from_scenario(self.to_scenario())
 
 
 @dataclass
@@ -158,14 +58,13 @@ class LinkUtilization:
 class ExperimentResult:
     """Everything one run produced."""
 
-    config: object
     outcomes: List[QueryOutcome]
     link: LinkUtilization
     client_events: List[ClientEvent]
     #: (event time offset vs query issue) per cache/validation event.
     proxy_cache_hits: int = 0
     proxy_revalidations: int = 0
-    #: The declarative scenario the run executed (always set).
+    #: The declarative scenario the run executed.
     scenario: Optional[object] = None
     #: Aggregated :class:`repro.cache.CacheStats` per cache location
     #: ("client-dns", "client-coap", "proxy", "resolver") — client
@@ -196,56 +95,3 @@ class ExperimentResult:
             }
             for location, stats in sorted(self.cache_stats.items())
         }
-
-
-def build_zone(config: ExperimentConfig, rng) -> Zone:
-    """Authoritative data: ``num_names`` names of 24 characters, each
-    with ``records_per_name`` records of the requested type."""
-    return build_workload_zone(config.to_scenario().workload, rng)
-
-
-def run_resolution_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Execute one run and gather its measurements.
-
-    .. deprecated::
-        This is now a thin adapter over the :mod:`repro.api` façade —
-        it builds a sim-substrate :class:`~repro.api.RunSpec` from the
-        config and unwraps the unified Report's raw result, which stays
-        bit-identical to the historical output. New code should call
-        :func:`repro.api.run` and consume the
-        :class:`~repro.api.Report` directly.
-    """
-    from repro.api import run
-
-    report = run(config.to_run_spec(), _config=config)
-    return report.raw
-
-
-def run_repeated(
-    config: ExperimentConfig, runs: int = 10, workers: Optional[int] = None
-) -> List[ExperimentResult]:
-    """Repeat a run with different seeds (the paper repeats all runs
-    10 times, Section 5.1); results aggregate across repetitions.
-
-    Repetitions are independent simulations; *workers* > 1 fans them
-    out over a process pool (same executor machinery as
-    :meth:`~repro.scenarios.ScenarioRunner.sweep`) with results in
-    seed order either way.
-    """
-    from dataclasses import replace
-
-    from repro.scenarios.executors import get_executor
-
-    seeded = [
-        replace(config, seed=config.seed + repetition * 1000)
-        for repetition in range(runs)
-    ]
-    return get_executor(None, workers).map(run_resolution_experiment, seeded)
-
-
-def pooled_resolution_times(results: List[ExperimentResult]) -> List[float]:
-    """All successful resolution times across repetitions."""
-    times: List[float] = []
-    for result in results:
-        times.extend(result.resolution_times)
-    return times

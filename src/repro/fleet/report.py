@@ -17,9 +17,11 @@ from typing import Dict, List, Optional
 
 from repro.api.report import (
     Report,
-    ReportError,
-    _cache_location_metrics,
-    latency_metrics,
+    RunTally,
+    as_runs,
+    cache_stats_from,
+    pool_tallies,
+    tally_metrics,
 )
 
 from .engine import FleetResult
@@ -57,6 +59,54 @@ def _scaled_telemetry(
     return scaled
 
 
+def _tally_fleet(result: FleetResult) -> RunTally:
+    """One fleet run as a tally, its sampled counters scaled to fleet
+    totals."""
+    plan = result.plan
+    scale = plan.query_scale
+    succeeded = timeouts = rcode_failures = 0
+    first_issue: Optional[float] = None
+    last_done: Optional[float] = None
+    for outcome in result.outcomes:
+        if outcome.resolution_time is not None:
+            succeeded += 1
+            done = outcome.issued_at + outcome.resolution_time
+            last_done = done if last_done is None else max(last_done, done)
+        elif outcome.error == "TimeoutError":
+            timeouts += 1
+        elif outcome.error == "RcodeError":
+            rcode_failures += 1
+        if first_issue is None or outcome.issued_at < first_issue:
+            first_issue = outcome.issued_at
+    issued = int(round(len(result.outcomes) * scale))
+    ok = int(round(succeeded * scale))
+    failed = issued - ok
+    # Round the failure breakdown inside the scaled failure total so
+    # issued = succeeded + failed always survives the scaling.
+    scaled_timeouts = min(failed, int(round(timeouts * scale)))
+    span = (
+        last_done - first_issue
+        if last_done is not None and first_issue is not None
+        else 0.0
+    )
+    return RunTally(
+        issued=issued,
+        succeeded=ok,
+        timeouts=scaled_timeouts,
+        rcode_failures=min(
+            failed - scaled_timeouts, int(round(rcode_failures * scale))
+        ),
+        latencies=result.reservoir.samples,
+        # The sampled sub-fleet ran at rate × clients/fleet_clients, so
+        # its achieved qps scales back up by the client scale.
+        qps=(succeeded / span) * plan.client_scale if span > 0 else 0.0,
+        cache={
+            location: cache_stats_from(counters)
+            for location, counters in result.cache_stats.items()
+        },
+    )
+
+
 def report_from_fleet(
     results,
     spec: Optional[Dict[str, object]] = None,
@@ -64,124 +114,39 @@ def report_from_fleet(
     """Build the unified Report from fleet-engine output.
 
     *results* is one :class:`~repro.fleet.engine.FleetResult` or a list
-    of them (repeated runs pool: counters aggregate across repeats,
-    latency samples pool, per-location cache counters sum).
+    of repeats, pooled by :func:`~repro.api.report.pool_tallies`.
     """
-    single = not isinstance(results, (list, tuple))
-    pooled = [results] if single else list(results)
-    if not pooled:
-        raise ReportError("cannot report on zero fleet results")
-
-    issued = succeeded = timeouts = rcode_failures = 0
-    latencies: List[float] = []
-    qps_values: List[float] = []
-    cache_totals: Dict[str, Dict[str, float]] = {}
-    active_clients = 0
-    saturated = False
-    for result in pooled:
-        plan = result.plan
-        scale = plan.query_scale
-        run_succeeded = run_timeouts = run_rcode = 0
-        first_issue: Optional[float] = None
-        last_done: Optional[float] = None
-        for outcome in result.outcomes:
-            if outcome.resolution_time is not None:
-                run_succeeded += 1
-                done = outcome.issued_at + outcome.resolution_time
-                last_done = done if last_done is None else max(last_done, done)
-            elif outcome.error == "TimeoutError":
-                run_timeouts += 1
-            elif outcome.error == "RcodeError":
-                run_rcode += 1
-            if first_issue is None or outcome.issued_at < first_issue:
-                first_issue = outcome.issued_at
-        run_issued = int(round(len(result.outcomes) * scale))
-        run_ok = int(round(run_succeeded * scale))
-        run_failed = run_issued - run_ok
-        # Round the failure breakdown inside the scaled failure total so
-        # issued = succeeded + failed always survives the scaling.
-        run_to = min(run_failed, int(round(run_timeouts * scale)))
-        run_rc = min(run_failed - run_to, int(round(run_rcode * scale)))
-        issued += run_issued
-        succeeded += run_ok
-        timeouts += run_to
-        rcode_failures += run_rc
-        latencies.extend(result.reservoir.samples)
-        span = (
-            last_done - first_issue
-            if last_done is not None and first_issue is not None
-            else 0.0
-        )
-        # The sampled sub-fleet ran at rate × clients/fleet_clients, so
-        # its achieved qps scales back up by the client scale.
-        qps_values.append(
-            (run_succeeded / span) * plan.client_scale if span > 0 else 0.0
-        )
-        for location, counters in result.cache_stats.items():
-            totals = cache_totals.setdefault(location, {})
-            for key, value in counters.items():
-                totals[key] = totals.get(key, 0) + value
-        active_clients += result.active_clients
-        saturated = saturated or result.reservoir.saturated
-
-    metrics: Dict[str, object] = {
-        "queries.issued": issued,
-        "queries.succeeded": succeeded,
-        "queries.failed": issued - succeeded,
-        "queries.timeouts": timeouts,
-        "queries.rcode_failures": rcode_failures,
-        "queries.success_rate": succeeded / issued if issued else 0.0,
-    }
-    metrics.update(latency_metrics(latencies))
-    metrics["throughput.qps"] = round(sum(qps_values) / len(qps_values), 3)
-    for location in sorted(cache_totals):
-        counters = dict(cache_totals[location])
-        # Counters summed across repeats; re-derive the ratios so they
-        # describe the pooled counters, not an average of averages.
-        lookups = (
-            counters.get("hits", 0)
-            + counters.get("misses", 0)
-            + counters.get("stale_hits", 0)
-        )
-        counters["hit_ratio"] = (
-            counters.get("hits", 0) / lookups if lookups else 0.0
-        )
-        counters["stale_ratio"] = (
-            counters.get("stale_hits", 0) / lookups if lookups else 0.0
-        )
-        counters["validation_ratio"] = (
-            counters.get("validations", 0) / counters["stale_hits"]
-            if counters.get("stale_hits") else 0.0
-        )
-        normalized = location.replace("-", "_")
-        metrics.update(
-            _cache_location_metrics(f"cache.{normalized}", counters)
-        )
-
-    head = pooled[0]
+    runs = as_runs(results)
+    metrics = tally_metrics(
+        pool_tallies([_tally_fleet(result) for result in runs]), "fleet"
+    )
+    head = runs[0]
     plan = head.plan
     options = head.options
     metrics["fleet.clients"] = plan.fleet_clients
-    metrics["fleet.active_clients"] = int(
-        round(active_clients / len(pooled) * plan.client_scale)
-    )
-    metrics["fleet.repeats"] = len(pooled)
+    metrics["fleet.active_clients"] = int(round(
+        sum(result.active_clients for result in runs) / len(runs)
+        * plan.client_scale
+    ))
+    metrics["fleet.repeats"] = len(runs)
     metrics["fleet.sample.queries"] = plan.queries
     metrics["fleet.sample.scale"] = round(plan.query_scale, 3)
     # "Exact" = every fleet query was simulated individually and every
     # success latency kept — the Report equals an exact-sim aggregate up
     # to the service-model approximation, with no sampling error on top.
-    metrics["fleet.tolerance.exact"] = plan.exact and not saturated
+    metrics["fleet.tolerance.exact"] = plan.exact and not any(
+        result.reservoir.saturated for result in runs
+    )
     metrics["fleet.churn"] = options.churn
     metrics["fleet.duty_cycle"] = options.duty_cycle
     metrics["fleet.flash_crowd"] = options.flash_crowd
     metrics.update(head.calibration.metrics())
 
-    telemetry = _scaled_telemetry(head) if len(pooled) == 1 else None
+    telemetry = _scaled_telemetry(head) if len(runs) == 1 else None
     return Report(
         substrate="fleet",
         spec=spec if spec is not None else {},
         metrics=metrics,
         telemetry=telemetry,
-        raw=results if not single else pooled[0],
+        raw=results,
     )

@@ -11,9 +11,9 @@ resolver/fastpath/DNS/CoAP caches, per-worker RNG — all bound to the
 inbound flows across the workers with no userspace dispatcher. The
 load generator distributes the same way: :func:`run_distributed_load`
 forks M generator processes with deterministically derived seeds
-(:func:`derive_worker_seed`) and merges their reports — counters sum,
-latency reservoirs pool, per-worker stats ride along under
-``live.workers.*`` in the unified Report.
+(:func:`derive_worker_seed`); :mod:`repro.api.report` pools their
+reports — counters sum, latency reservoirs pool, per-worker stats ride
+along under ``live.workers.*`` in the unified Report.
 
 Control runs over a per-worker duplex pipe: workers announce
 ``("ready", endpoint)`` once bound, the parent broadcasts ``"stop"``
@@ -49,11 +49,9 @@ __all__ = [
     "WorkerPoolError",
     "derive_worker_seed",
     "maybe_install_uvloop",
-    "merge_loadgen_reports",
     "merge_server_stats",
     "reuseport_supported",
     "run_distributed_load",
-    "run_sharded_spec",
     "uvloop_available",
 ]
 
@@ -601,49 +599,24 @@ class ServePool(WorkerPool):
 def merge_server_stats(
     per_worker: Sequence[Dict[str, object]],
     requested: int = 1,
-    failed: int = 0,
     warning: Optional[str] = None,
-    failed_indices: Optional[Sequence[int]] = None,
+    failed_indices: Sequence[int] = (),
 ) -> Dict[str, object]:
-    """One stats block from N per-worker server stats blocks.
+    """One pool stats block from N per-worker server stats blocks.
 
-    Counters sum, ``io.largest_burst`` takes the max, the resolver
-    cache pools with recomputed hit ratio, and the full per-worker
-    blocks ride along under ``workers`` for drill-down. ``runtime``
-    records the sharding facts the Report surfaces as
-    ``live.workers.*``: requested vs actual worker count, reuseport
-    activity, uvloop, and the fallback warning (or ``None``).
-
-    *failed_indices* names the crashed workers; ``failed_workers``
-    always appears in the merged block (empty on a clean run) so
-    consumers need no existence check, and ``workers_failed`` stays
-    the count for backward compatibility.
+    The per-worker blocks ride along under ``workers``; their counters
+    sum in :func:`repro.api.report.report_from_loadgen`. ``io`` merges
+    the socket facts (counts sum, ``largest_burst`` takes the max), and
+    ``runtime`` records the sharding facts the Report surfaces as
+    ``live.workers.*``: the actual worker count, reuseport activity,
+    uvloop, and the fallback warning (or ``None``). *failed_indices*
+    names the crashed workers.
     """
-    failed_list = (
-        [int(i) for i in failed_indices] if failed_indices is not None else []
-    )
-    merged: Dict[str, object] = {
-        "workers_requested": requested,
-        "workers_failed": (
-            len(failed_list) if failed_indices is not None else failed
-        ),
-        "failed_workers": failed_list,
-    }
     io_merged = {
         "batched": True, "recv_bursts": 0, "largest_burst": 0,
         "recv_errors": 0, "send_buffer_drops": 0, "reuse_port": False,
     }
-    cache = {"hits": 0, "misses": 0}
-    have_cache = False
     for stats in per_worker:
-        for key in ("queries_handled", "validations_sent",
-                    "fastpath_hits", "fastpath_misses",
-                    "datagrams_received", "datagrams_sent"):
-            if key in stats:
-                merged[key] = merged.get(key, 0) + stats[key]
-        for key in ("transport", "endpoint", "names"):
-            if key in stats and key not in merged:
-                merged[key] = stats[key]
         io = stats.get("io")
         if isinstance(io, dict):
             io_merged["batched"] = (
@@ -658,24 +631,19 @@ def merge_server_stats(
                 io_merged["reuse_port"] or bool(io.get("reuse_port"))
             )
             io_merged.setdefault("mmsg", io.get("mmsg"))
-        resolver_cache = stats.get("resolver_cache")
-        if isinstance(resolver_cache, dict):
-            have_cache = True
-            for key in ("hits", "misses"):
-                cache[key] += resolver_cache.get(key, 0)
-    merged["io"] = io_merged
-    if have_cache:
-        lookups = cache["hits"] + cache["misses"]
-        cache["hit_ratio"] = cache["hits"] / lookups if lookups else 0.0
-        merged["resolver_cache"] = cache
-    merged["workers"] = [dict(stats) for stats in per_worker]
-    merged["runtime"] = {
-        "serve_workers": len(per_worker),
-        "reuseport": bool(io_merged["reuse_port"]),
-        "uvloop": any(s.get("uvloop") for s in per_worker),
-        "warning": warning,
+    return {
+        "workers_requested": requested,
+        "workers_failed": len(failed_indices),
+        "failed_workers": [int(index) for index in failed_indices],
+        "io": io_merged,
+        "workers": [dict(stats) for stats in per_worker],
+        "runtime": {
+            "serve_workers": len(per_worker),
+            "reuseport": bool(io_merged["reuse_port"]),
+            "uvloop": any(s.get("uvloop") for s in per_worker),
+            "warning": warning,
+        },
     }
-    return merged
 
 
 # -- distributed load generation -------------------------------------------
@@ -779,16 +747,15 @@ def run_distributed_load(
     workers: int = 2,
     reservoir_capacity: int = 4096,
 ) -> Dict[str, object]:
-    """Drive *workers* load-generator processes against *endpoint* and
-    return one merged loadgen report.
+    """Drive *workers* load-generator processes against *endpoint*.
 
     The offered load splits across workers — open loop divides the
     arrival rate, closed loop divides the concurrency — and every
     worker draws from the same deterministic name universe under its
     own :func:`derive_worker_seed` seed, so the aggregate workload is
-    replayable yet decorrelated across processes. The merged report is
-    the flat loadgen vocabulary plus a ``workers`` block
-    (:func:`merge_loadgen_reports`).
+    replayable yet decorrelated across processes. Returns the pass
+    ``{"load": [per-worker loadgen reports], "load_failed": n}``, which
+    :func:`repro.api.report.report_from_loadgen` pools into one Report.
     """
     from .loadgen import LoadGenError
 
@@ -827,317 +794,4 @@ def run_distributed_load(
         })
     pool = LoadPool(_load_worker_main, configs)
     reports = pool.run()
-    return merge_loadgen_reports(
-        reports,
-        rate=rate,
-        concurrency=concurrency,
-        seed=seed,
-        failed=len(pool.failed_workers),
-    )
-
-
-def merge_loadgen_reports(
-    reports: Sequence[Dict[str, object]],
-    *,
-    rate: Optional[float] = None,
-    concurrency: Optional[int] = None,
-    seed: Optional[int] = None,
-    failed: int = 0,
-) -> Dict[str, object]:
-    """One loadgen report from M per-worker reports.
-
-    Counters sum; ``achieved_qps`` sums (the workers ran concurrently,
-    so aggregate throughput is the sum of per-worker throughputs);
-    percentiles recompute over the pooled latency samples while the
-    mean pools exactly from the per-worker exact means; cache counters
-    sum per location with ratios recomputed. The per-worker summaries
-    land under ``workers`` — the block
-    :func:`repro.api.report.report_from_loadgen` turns into
-    ``live.workers.load.*`` metrics.
-    """
-    from repro.api.report import REPORT_VERSION as _VERSION
-    from repro.api.report import provenance as _provenance
-    from repro.experiments.metrics import percentile
-
-    if not reports:
-        raise WorkerPoolError("cannot merge zero loadgen reports")
-    first = reports[0]
-    counters = {
-        "queries": 0, "succeeded": 0, "failed": 0,
-        "timeouts": 0, "rcode_failures": 0,
-    }
-    samples_ms: List[float] = []
-    mean_weighted = 0.0
-    minimum = maximum = None
-    elapsed = 0.0
-    aggregate_qps = 0.0
-    cache_pool: Dict[str, Dict[str, float]] = {}
-    per_worker: List[Dict[str, object]] = []
-    for report in reports:
-        for key in counters:
-            counters[key] += report[key]
-        elapsed = max(elapsed, report["elapsed_s"])
-        aggregate_qps += report["achieved_qps"]
-        samples_ms.extend(report.get("latencies_ms", ()))
-        latency = report["latency_ms"]
-        if latency["mean"] is not None:
-            mean_weighted += latency["mean"] * report["succeeded"]
-            minimum = (
-                latency["min"] if minimum is None
-                else min(minimum, latency["min"])
-            )
-            maximum = (
-                latency["max"] if maximum is None
-                else max(maximum, latency["max"])
-            )
-        for location, stats in report.get("cache", {}).items():
-            pool = cache_pool.setdefault(location, {})
-            for key in ("hits", "misses", "stale_hits", "validations",
-                        "validation_failures"):
-                pool[key] = pool.get(key, 0) + stats.get(key, 0)
-        per_worker.append({
-            "worker": report.get("worker", len(per_worker)),
-            "seed": report["seed"],
-            "queries": report["queries"],
-            "succeeded": report["succeeded"],
-            "failed": report["failed"],
-            "timeouts": report["timeouts"],
-            "rcode_failures": report["rcode_failures"],
-            "achieved_qps": report["achieved_qps"],
-            "elapsed_s": report["elapsed_s"],
-        })
-    for location, pool in cache_pool.items():
-        hits, misses = pool.get("hits", 0), pool.get("misses", 0)
-        stale = pool.get("stale_hits", 0)
-        lookups = hits + misses + stale
-        pool["hit_ratio"] = hits / lookups if lookups else 0.0
-        pool["stale_ratio"] = stale / lookups if lookups else 0.0
-        pool["validation_ratio"] = (
-            pool.get("validations", 0) / stale if stale else 0.0
-        )
-    completed = counters["succeeded"] + counters["failed"]
-    if counters["succeeded"]:
-        latency_ms = {
-            "p50": round(percentile(samples_ms, 50), 3),
-            "p95": round(percentile(samples_ms, 95), 3),
-            "p99": round(percentile(samples_ms, 99), 3),
-            "mean": round(mean_weighted / counters["succeeded"], 3),
-            "min": minimum,
-            "max": maximum,
-        }
-    else:
-        latency_ms = {
-            "p50": None, "p95": None, "p99": None,
-            "mean": None, "min": None, "max": None,
-        }
-    mode = first["mode"]
-    merged: Dict[str, object] = {
-        "report_version": _VERSION,
-        "provenance": _provenance(),
-        "mode": mode,
-        "transport": first["transport"],
-        "offered_rate_qps": (
-            (rate if rate is not None else first["offered_rate_qps"])
-            if mode == "open" else None
-        ),
-        "concurrency": (
-            (concurrency if concurrency is not None else first["concurrency"])
-            if mode == "closed" else None
-        ),
-        "duration_s": first["duration_s"],
-        "elapsed_s": round(elapsed, 3),
-        "queries": counters["queries"],
-        "succeeded": counters["succeeded"],
-        "failed": counters["failed"],
-        "timeouts": counters["timeouts"],
-        "rcode_failures": counters["rcode_failures"],
-        "success_rate": (
-            counters["succeeded"] / completed if completed else 0.0
-        ),
-        "achieved_qps": round(aggregate_qps, 3),
-        "latency_ms": latency_ms,
-        "cache": cache_pool,
-        "workload": dict(first["workload"]),
-        "seed": seed if seed is not None else first["seed"],
-        "telemetry": _merged_timeline(reports),
-        "latencies_ms": samples_ms,
-        "workers": {
-            "load": per_worker,
-            "load_failed": failed,
-        },
-    }
-    return merged
-
-
-def _merged_timeline(reports: Sequence[Dict[str, object]]):
-    from repro.obs.telemetry import merge_timelines
-
-    return merge_timelines(
-        [report.get("telemetry") or [] for report in reports]
-    )
-
-
-# -- the sharded serve+loadtest pairing (repro.api façade) -----------------
-
-
-def run_sharded_spec(spec) -> "Report":
-    """Execute a live :class:`~repro.api.RunSpec` with worker pools.
-
-    The sharded counterpart of ``repro.api.runner._run_live``: per
-    repeat, a fresh :class:`ServePool` (unless the spec targets an
-    external host) and a distributed (or inline, when
-    ``load_workers == 1``) load-generation pass; per-repeat reports
-    and pool stats merge exactly like the single-worker path, with the
-    worker detail riding along into ``live.workers.*``.
-    """
-    from repro.api.report import report_from_loadgen
-
-    reports = []
-    server_stats: Optional[Dict[str, object]] = None
-    for seed in spec.repeat_seeds():
-        report, stats = _sharded_once(spec, seed)
-        reports.append(report)
-        server_stats = _merge_repeat_pool_stats(server_stats, stats)
-    return report_from_loadgen(
-        reports if spec.repeats > 1 else reports[0],
-        spec=spec.to_dict(),
-        server_stats=server_stats,
-    )
-
-
-def _sharded_once(spec, seed: int):
-    scenario = spec.to_scenario(seed)
-    workload = scenario.workload
-    options = spec.live
-    rate = workload.query_rate
-    duration = workload.num_queries / rate
-
-    pool: Optional[ServePool] = None
-    if options.host is None:
-        # The zone derives from the *base* seed on every worker: any
-        # worker must answer any query identically, so the per-worker
-        # decorrelation lives in the load side only.
-        pool = ServePool(
-            workers=options.serve_workers,
-            transport=scenario.transport,
-            host="127.0.0.1",
-            port=options.port,
-            num_names=workload.num_names,
-            dataset=options.dataset,
-            name_seed=options.name_seed,
-            ttl=workload.ttl,
-            scheme=scenario.scheme,
-            seed=seed,
-        )
-        endpoint = pool.start()
-    else:
-        endpoint = (options.host, options.port)
-    try:
-        if options.load_workers > 1:
-            report = run_distributed_load(
-                endpoint,
-                transport=scenario.transport,
-                scheme=scenario.scheme,
-                cache_placement=spec.client_cache_placement(),
-                block_size=scenario.block_size,
-                timeout=options.timeout,
-                num_names=workload.num_names,
-                dataset=options.dataset,
-                name_seed=options.name_seed,
-                rate=rate,
-                duration=duration,
-                mode=options.mode,
-                concurrency=options.concurrency,
-                seed=seed,
-                workload=workload,
-                workers=options.load_workers,
-            )
-        else:
-            report = asyncio.run(_inline_load(
-                endpoint, scenario, spec, seed, rate, duration,
-                num_names=workload.num_names,
-            ))
-        stats = pool.drain() if pool is not None else None
-    finally:
-        if pool is not None:
-            if pool._final_stats is None:
-                pool.terminate()
-    return report, stats
-
-
-async def _inline_load(
-    endpoint, scenario, spec, seed, rate, duration, num_names
-):
-    from .client import LiveResolver
-    from .loadgen import generate_load
-    from .wiring import build_names
-
-    options = spec.live
-    names = build_names(
-        num_names, dataset=options.dataset, name_seed=options.name_seed
-    )
-    resolver = LiveResolver(
-        endpoint,
-        transport=scenario.transport,
-        scheme=scenario.scheme,
-        cache_placement=spec.client_cache_placement(),
-        block_size=scenario.block_size,
-        seed=seed + 1,
-        timeout=options.timeout,
-    )
-    async with resolver:
-        return await generate_load(
-            resolver,
-            names,
-            rate=rate,
-            duration=duration,
-            mode=options.mode,
-            concurrency=options.concurrency,
-            timeout=options.timeout,
-            seed=seed,
-            workload=scenario.workload,
-            include_latencies=True,
-        )
-
-
-def _merge_repeat_pool_stats(merged, stats):
-    """Accumulate merged pool stats across repeats: scalar counters
-    sum, per-worker blocks sum index-by-index, runtime facts keep the
-    first repeat's values (they cannot change between repeats)."""
-    if stats is None:
-        return merged
-    if merged is None:
-        return dict(stats)
-    for key in ("queries_handled", "validations_sent", "fastpath_hits",
-                "fastpath_misses", "datagrams_received", "datagrams_sent",
-                "workers_failed"):
-        if key in stats:
-            merged[key] = merged.get(key, 0) + stats[key]
-    if "failed_workers" in stats:
-        union = set(merged.get("failed_workers", []))
-        union.update(stats["failed_workers"])
-        merged["failed_workers"] = sorted(union)
-    cache = stats.get("resolver_cache")
-    if isinstance(cache, dict):
-        pooled = merged.setdefault(
-            "resolver_cache", {"hits": 0, "misses": 0}
-        )
-        for key in ("hits", "misses"):
-            pooled[key] = pooled.get(key, 0) + cache.get(key, 0)
-        lookups = pooled["hits"] + pooled["misses"]
-        pooled["hit_ratio"] = pooled["hits"] / lookups if lookups else 0.0
-    by_index = {
-        entry.get("worker"): entry
-        for entry in merged.get("workers", [])
-    }
-    for entry in stats.get("workers", []):
-        target = by_index.get(entry.get("worker"))
-        if target is None:
-            merged.setdefault("workers", []).append(dict(entry))
-            continue
-        for key in ("queries_handled", "validations_sent",
-                    "fastpath_hits", "fastpath_misses",
-                    "datagrams_received", "datagrams_sent"):
-            if key in entry:
-                target[key] = target.get(key, 0) + entry[key]
-    return merged
+    return {"load": reports, "load_failed": len(pool.failed_workers)}

@@ -364,6 +364,7 @@ def live_loopback_sharded(quick: bool) -> "tuple":
     """
     import os
 
+    from repro.api.report import report_from_loadgen
     from repro.live import ServePool, run_distributed_load
 
     duration = 0.5 if quick else 1.5
@@ -375,7 +376,7 @@ def live_loopback_sharded(quick: bool) -> "tuple":
         )
         endpoint = pool.start()
         try:
-            report = run_distributed_load(
+            metrics = report_from_loadgen(run_distributed_load(
                 endpoint,
                 transport="udp",
                 mode="closed",
@@ -383,11 +384,11 @@ def live_loopback_sharded(quick: bool) -> "tuple":
                 duration=duration,
                 workers=workers,
                 timeout=10.0,
-            )
+            )).metrics
         finally:
             pool.drain()
-        total += report["succeeded"]
-        curve[str(workers)] = report["achieved_qps"]
+        total += metrics["queries.succeeded"]
+        curve[str(workers)] = metrics["throughput.qps"]
     return total, {"qps_by_workers": curve, "cpu_count": os.cpu_count()}
 
 

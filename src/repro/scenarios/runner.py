@@ -254,15 +254,10 @@ class ScenarioRunner:
     def run(
         self,
         scenario: Scenario,
-        _config=None,
         *,
         frame_capture: str = "records",
     ) -> "ExperimentResult":
         """Execute one scenario and gather its measurements.
-
-        ``_config`` optionally stamps the result with the legacy
-        ``ExperimentConfig`` that produced the scenario so existing
-        consumers keep seeing the configuration type they passed in.
 
         ``frame_capture`` selects the frame observer: ``"records"``
         keeps a full :class:`~repro.sim.trace.Sniffer` record list,
@@ -396,7 +391,6 @@ class ScenarioRunner:
         pool("resolver", resolver.cache)
 
         return ExperimentResult(
-            config=_config if _config is not None else scenario,
             outcomes=outcomes,
             link=link,
             client_events=client_events,

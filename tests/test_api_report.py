@@ -3,8 +3,9 @@
 Covers the acceptance criteria of the API-redesign PR: one RunSpec
 executes on both substrates with identical non-namespaced metric key
 sets, every emitted JSON document validates against the checked-in
-``tests/report_schema.json``, and the legacy ``ExperimentConfig`` path
-stays bit-identical to a direct ScenarioRunner execution.
+``tests/report_schema.json``, ``run()``'s raw result stays bit-identical
+to a direct ScenarioRunner execution, and repeats pool through the one
+pooling step on every substrate.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class TestRunSpec:
             scenario=Scenario(transport="coap"), substrate="live"
         ).client_cache_placement() == "none"
 
-    def test_repeat_seeds_match_run_repeated_spacing(self):
+    def test_repeat_seeds_space_repeats_1000_apart(self):
         spec = RunSpec.from_spec("seed=7,repeats=3")
         assert spec.repeat_seeds() == [7, 1007, 2007]
 
@@ -285,33 +286,88 @@ class TestSubstrateParity:
         validate(live_report.to_json(), SCHEMA)
 
 
-# -- legacy adapter stays bit-identical ------------------------------------
+# -- run() keeps the raw result bit-identical -----------------------------
 
 
-class TestLegacyAdapter:
-    def test_run_resolution_experiment_bit_identical(self):
-        from repro.experiments import ExperimentConfig, run_resolution_experiment
-        from repro.scenarios import ScenarioRunner
+class TestRawResult:
+    def test_run_raw_bit_identical_to_scenario_runner(self):
+        from repro.scenarios import Scenario, ScenarioRunner, TopologySpec
+        from repro.scenarios import WorkloadSpec
 
-        config = ExperimentConfig(
-            transport="coap", num_queries=10, loss=0.1, seed=5
+        scenario = Scenario(
+            transport="coap",
+            topology=TopologySpec(loss=0.1),
+            workload=WorkloadSpec(num_queries=10),
+            seed=5,
         )
-        via_api = run_resolution_experiment(config)
-        direct = ScenarioRunner().run(config.to_scenario(), _config=config)
-        assert via_api.config is config
+        via_api = run(RunSpec.from_scenario(scenario)).raw
+        direct = ScenarioRunner().run(scenario)
+        assert via_api.scenario is scenario
         assert via_api.outcomes == direct.outcomes
         assert via_api.link == direct.link
         assert via_api.client_events == direct.client_events
         assert via_api.cache_stats == direct.cache_stats
         assert via_api.proxy_cache_hits == direct.proxy_cache_hits
 
-    def test_to_run_spec_round_trips_scenario(self):
-        from repro.experiments import ExperimentConfig
 
-        config = ExperimentConfig(transport="oscore", num_queries=3)
-        spec = config.to_run_spec()
-        assert spec.substrate == "sim"
-        assert spec.scenario == config.to_scenario()
+# -- the pooling step: repeats against their single-seed runs --------------
+
+
+def _assert_pools_singles(spec_text: str) -> None:
+    """A ``repeats=3`` Report sums the counters of its three single-seed
+    Reports, derives every cache ratio from the pooled ``CacheStats``,
+    and averages their throughput."""
+    from repro.cache import CacheStats
+
+    pooled_spec = RunSpec.from_spec(spec_text + ",repeats=3")
+    pooled = run(pooled_spec).metrics
+    singles = [
+        run(RunSpec.from_spec(spec_text, base=RunSpec(seed=seed))).metrics
+        for seed in pooled_spec.repeat_seeds()
+    ]
+    counters = [
+        "queries.issued", "queries.succeeded", "queries.failed",
+        "queries.timeouts", "queries.rcode_failures",
+    ]
+    locations = sorted({
+        key.rsplit(".", 1)[0] for key in pooled
+        if key.endswith(".hit_ratio")
+    })
+    assert locations  # the spec enables at least one cache
+    for location in locations:
+        counters += [f"{location}.{key}" for key in (
+            "hits", "misses", "stale_hits", "validations",
+            "validation_failures",
+        )]
+    for key in counters:
+        assert pooled[key] == sum(single[key] for single in singles), key
+    for location in locations:
+        stats = CacheStats(**{
+            key: pooled[f"{location}.{key}"] for key in (
+                "hits", "misses", "stale_hits", "validations",
+                "validation_failures",
+            )
+        })
+        for ratio in ("hit_ratio", "stale_ratio", "validation_ratio"):
+            assert pooled[f"{location}.{ratio}"] == getattr(stats, ratio)
+    assert pooled["throughput.qps"] == pytest.approx(
+        sum(single["throughput.qps"] for single in singles) / 3, abs=1e-3
+    )
+
+
+class TestPoolingStep:
+    def test_sim_repeats_pool_counters_ratios_and_throughput(self):
+        _assert_pools_singles(
+            "transport=coap,queries=20,names=6,"
+            "cache=client-dns+client-coap+proxy,proxy=true"
+        )
+
+    def test_fleet_repeats_pool_counters_ratios_and_throughput(self):
+        _assert_pools_singles(
+            "one-hop,transport=coap,clients=2000,queries=6000,rate=1000,"
+            "names=64,cache=client-dns+client-coap,substrate=fleet,"
+            "fleet-sample-cap=2048"
+        )
 
 
 # -- sweeps ----------------------------------------------------------------

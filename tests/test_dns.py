@@ -94,6 +94,14 @@ class TestNames:
         with pytest.raises(NameError_):
             decode_name(b"\x05ab", 0)
 
+    def test_names_round_trip_byte_for_byte_or_reject(self):
+        # A non-ASCII label byte could not re-encode; a dot inside a
+        # label would re-encode as two labels.
+        with pytest.raises(NameError_):
+            decode_name(b"\x01\xff\x03org\x00", 0)
+        with pytest.raises(NameError_):
+            decode_name(b"\x03a.b\x03org\x00", 0)
+
     @given(
         st.lists(
             st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=20),

@@ -80,6 +80,16 @@ class TestProcessing:
         server, _ = server_and_sim
         assert server._process(_fetch(b"\x01\x02")).code == Code.BAD_REQUEST
 
+    def test_names_that_cannot_round_trip_get_bad_request(self, server_and_sim):
+        server, _ = server_and_sim
+        wire = bytearray(make_query("a.example.org", RecordType.AAAA).encode())
+        wire[13] = 0xFF  # the first label's only byte: non-ASCII
+        dotted = bytes(wire[:12]) + b"\x03a.b\x03org\x00" + bytes(wire[-4:])
+        for payload in (bytes(wire), dotted):
+            with pytest.raises(ValueError):
+                Message.decode(payload)
+            assert server._process(_fetch(payload)).code == Code.BAD_REQUEST
+
     def test_disallowed_method(self, server_and_sim):
         server, _ = server_and_sim
         request = CoapMessage.request(Code.PUT, "/dns", payload=b"x")

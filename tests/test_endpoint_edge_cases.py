@@ -133,6 +133,20 @@ class TestRobustness:
                             stray.encode(), {})
         sim.run(until=1)  # nothing blows up
 
+    def test_reserved_option_nibble_dropped_by_both_handlers(self):
+        # Option delta nibble 15 is reserved (RFC 7252 §3.1): the
+        # OptionError it raises is a CoapMessageError, so both receive
+        # paths drop the datagram instead of raising.
+        from repro.coap.message import CoapMessageError
+
+        wire = bytes.fromhex("400112 34f100".replace(" ", ""))
+        with pytest.raises(CoapMessageError):
+            CoapMessage.decode(wire)
+        sim, topo, client, server = _setup()
+        client._on_datagram(topo.resolver_host.address, 5683, wire, {})
+        server._on_datagram(topo.clients[0].address, 40000, wire, {})
+        sim.run(until=1)
+
     def test_unknown_critical_option_is_preserved(self):
         """The endpoint does not strip options it does not understand —
         forward compatibility for new CoAP extensions."""

@@ -4,7 +4,6 @@ import pytest
 
 from repro.coap.codes import Code
 from repro.experiments import (
-    ExperimentConfig,
     FRAGMENTATION_LIMIT,
     canonical_messages,
     cdf,
@@ -12,11 +11,29 @@ from repro.experiments import (
     dissect_transport,
     percentile,
     quantiles,
-    run_resolution_experiment,
     summary_stats,
 )
 from repro.experiments.metrics import fraction_below
 from repro.experiments.packet_sizes import MEDIAN_NAME, dtls_handshake_dissections
+from repro.scenarios import Scenario, ScenarioRunner, TopologySpec, WorkloadSpec
+
+
+def _run(transport="coap", loss=0.05, l2_retries=3, seed=1, **scenario):
+    """One Figure 2 run: *scenario* takes Scenario fields, except that
+    ``num_queries``/``num_names``/``records_per_name``/``ttl`` go to
+    the workload."""
+    workload = {
+        key: scenario.pop(key)
+        for key in ("num_queries", "num_names", "records_per_name", "ttl")
+        if key in scenario
+    }
+    return ScenarioRunner().run(Scenario(
+        transport=transport,
+        topology=TopologySpec(loss=loss, l2_retries=l2_retries),
+        workload=WorkloadSpec(**workload),
+        seed=seed,
+        **scenario,
+    ))
 
 
 class TestMetrics:
@@ -136,54 +153,43 @@ class TestDissections:
 class TestResolutionHarness:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(transport="smtp")
+            Scenario(transport="smtp")
         with pytest.raises(ValueError):
-            ExperimentConfig(transport="udp", use_proxy=True)
+            Scenario(transport="udp", use_proxy=True)
 
     @pytest.mark.parametrize("transport", ["udp", "dtls", "coap", "coaps", "oscore"])
     def test_all_transports_resolve(self, transport):
-        config = ExperimentConfig(
-            transport=transport, num_queries=10, loss=0.05, seed=2
-        )
-        result = run_resolution_experiment(config)
+        result = _run(transport, num_queries=10, loss=0.05, seed=2)
         assert result.success_rate == 1.0
         assert len(result.resolution_times) == 10
 
     def test_queries_split_across_clients(self):
-        config = ExperimentConfig(transport="coap", num_queries=10, seed=3)
-        result = run_resolution_experiment(config)
+        result = _run("coap", num_queries=10, seed=3)
         clients = {outcome.client for outcome in result.outcomes}
         assert clients == {"c1", "c2"}
 
     def test_proxy_reduces_bottleneck_frames(self):
-        base = ExperimentConfig(
-            transport="coap", num_queries=40, num_names=8,
-            records_per_name=4, ttl=(2, 8), seed=4,
+        base = dict(
+            num_queries=40, num_names=8, records_per_name=4, ttl=(2, 8),
+            seed=4,
         )
-        without = run_resolution_experiment(base)
-        from dataclasses import replace
-
-        with_proxy = run_resolution_experiment(replace(base, use_proxy=True))
+        without = _run("coap", **base)
+        with_proxy = _run("coap", use_proxy=True, **base)
         assert with_proxy.link.frames_1hop < without.link.frames_1hop
 
     def test_client_events_collected(self):
-        config = ExperimentConfig(transport="coap", num_queries=5, seed=5)
-        result = run_resolution_experiment(config)
+        result = _run("coap", num_queries=5, seed=5)
         transmissions = [e for e in result.client_events if e.kind == "transmission"]
         assert len(transmissions) == 5
 
     def test_deterministic_runs(self):
-        config = ExperimentConfig(transport="coap", num_queries=8, loss=0.1, seed=6)
-        a = run_resolution_experiment(config)
-        b = run_resolution_experiment(config)
+        a = _run("coap", num_queries=8, loss=0.1, seed=6)
+        b = _run("coap", num_queries=8, loss=0.1, seed=6)
         assert a.resolution_times == b.resolution_times
         assert a.link.bytes_1hop == b.link.bytes_1hop
 
     def test_losses_produce_retransmissions(self):
-        config = ExperimentConfig(
-            transport="coap", num_queries=30, loss=0.35, l2_retries=0, seed=7,
-        )
-        result = run_resolution_experiment(config)
+        result = _run("coap", num_queries=30, loss=0.35, l2_retries=0, seed=7)
         retransmissions = [
             e for e in result.client_events if e.kind == "retransmission"
         ]

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.api.report import ReportError, report_from_loadgen
 from repro.experiments.metrics import percentile
 from repro.live.reservoir import DEFAULT_RESERVOIR_CAPACITY, LatencyReservoir
 from repro.live.transport import LiveUdpTransport
@@ -26,7 +27,6 @@ from repro.live.workers import (
     WorkerPoolError,
     derive_worker_seed,
     maybe_install_uvloop,
-    merge_loadgen_reports,
     merge_server_stats,
     reuseport_supported,
     run_distributed_load,
@@ -268,22 +268,27 @@ def _fake_server_stats(worker, handled):
     }
 
 
-def test_merge_server_stats_sums_counters_and_keeps_workers():
+def test_pool_server_stats_sums_counters_and_keeps_workers():
     merged = merge_server_stats(
         [_fake_server_stats(0, 10), _fake_server_stats(1, 30)],
         requested=2,
     )
-    assert merged["queries_handled"] == 40
-    assert merged["datagrams_received"] == 40
+    metrics = report_from_loadgen(
+        _fake_loadgen_report(0, 1, 40, 2.0), server_stats=merged
+    ).metrics
+    assert metrics["live.server.queries_handled"] == 40
+    assert metrics["live.server.datagrams_received"] == 40
     assert merged["io"]["recv_bursts"] == 40
     assert merged["io"]["largest_burst"] == 4
     assert merged["io"]["reuse_port"] is True
-    assert merged["resolver_cache"]["hits"] == 38
-    assert merged["resolver_cache"]["misses"] == 2
-    assert merged["resolver_cache"]["hit_ratio"] == pytest.approx(38 / 40)
+    assert metrics["live.cache.resolver.hits"] == 38
+    assert metrics["live.cache.resolver.misses"] == 2
+    assert metrics["live.cache.resolver.hit_ratio"] == pytest.approx(38 / 40)
     assert [w["worker"] for w in merged["workers"]] == [0, 1]
-    assert merged["runtime"]["serve_workers"] == 2
-    assert merged["runtime"]["warning"] is None
+    assert metrics["live.workers.serve.0.queries_handled"] == 10
+    assert metrics["live.workers.serve.1.queries_handled"] == 30
+    assert metrics["live.workers.serve.count"] == 2
+    assert metrics["live.workers.warning"] is None
 
 
 def _fake_loadgen_report(worker, seed, queries, rtt_ms):
@@ -316,35 +321,36 @@ def _fake_loadgen_report(worker, seed, queries, rtt_ms):
     }
 
 
-def test_merge_loadgen_reports_sums_counters_and_throughput():
-    merged = merge_loadgen_reports(
-        [
+def test_pool_loadgen_reports_sums_counters_and_throughput():
+    metrics = report_from_loadgen({
+        "load": [
             _fake_loadgen_report(0, 111, 40, 2.0),
             _fake_loadgen_report(1, 222, 60, 4.0),
         ],
-        rate=100.0,
-        seed=1,
-    )
-    assert merged["queries"] == 100
-    assert merged["succeeded"] == 100
+        "load_failed": 0,
+    }).metrics
+    assert metrics["queries.issued"] == 100
+    assert metrics["queries.succeeded"] == 100
     # Aggregate throughput is the sum (workers ran concurrently)...
-    assert merged["achieved_qps"] == pytest.approx(100.0)
-    # ...and the mean pools exactly by success weight.
-    assert merged["latency_ms"]["mean"] == pytest.approx(
+    assert metrics["throughput.qps"] == pytest.approx(100.0)
+    # ...and the mean pools exactly over the pooled samples.
+    assert metrics["latency.mean_ms"] == pytest.approx(
         (40 * 2.0 + 60 * 4.0) / 100
     )
-    assert merged["latency_ms"]["min"] == 2.0
-    assert merged["latency_ms"]["max"] == 4.0
-    assert merged["seed"] == 1
-    assert len(merged["latencies_ms"]) == 100
-    workers = merged["workers"]["load"]
-    assert [w["worker"] for w in workers] == [0, 1]
-    assert sum(w["queries"] for w in workers) == merged["queries"]
+    assert metrics["latency.p50_ms"] == 4.0
+    assert metrics["latency.max_ms"] == 4.0
+    assert metrics["live.offered_rate_qps"] == 200.0
+    assert metrics["live.workers.load.count"] == 2
+    assert metrics["live.workers.load.0.queries"] == 40
+    assert metrics["live.workers.load.1.queries"] == 60
+    assert metrics["live.workers.load.0.queries"] + metrics[
+        "live.workers.load.1.queries"
+    ] == metrics["queries.issued"]
 
 
-def test_merge_loadgen_reports_rejects_empty():
-    with pytest.raises(WorkerPoolError):
-        merge_loadgen_reports([])
+def test_pool_loadgen_reports_rejects_empty():
+    with pytest.raises(ReportError):
+        report_from_loadgen([])
 
 
 # -- forked pools on loopback ----------------------------------------------
@@ -360,7 +366,7 @@ def test_sharded_serve_and_distributed_load_counters_balance():
     pool = ServePool(workers=2, transport="udp", port=0, num_names=16)
     endpoint = pool.start()
     try:
-        report = run_distributed_load(
+        load = run_distributed_load(
             endpoint,
             transport="udp",
             rate=300.0,
@@ -373,18 +379,23 @@ def test_sharded_serve_and_distributed_load_counters_balance():
         stats = pool.drain()
     finally:
         pool.terminate()
-    assert report["failed"] == 0
-    assert report["queries"] > 0
-    # Per-worker load counters sum to the merged totals...
-    load_workers = report["workers"]["load"]
-    assert len(load_workers) == 2
-    assert sum(w["queries"] for w in load_workers) == report["queries"]
-    assert sum(w["succeeded"] for w in load_workers) == report["succeeded"]
+    metrics = report_from_loadgen(load, server_stats=stats).metrics
+    assert load["load_failed"] == 0
+    assert metrics["queries.failed"] == 0
+    assert metrics["queries.issued"] > 0
+    # Per-worker load counters sum to the pooled totals...
+    assert len(load["load"]) == 2
+    assert sum(w["queries"] for w in load["load"]) == metrics["queries.issued"]
+    assert sum(
+        w["succeeded"] for w in load["load"]
+    ) == metrics["queries.succeeded"]
     # ...and the serve side handled exactly what the load side issued.
-    assert stats["queries_handled"] == report["succeeded"]
+    assert metrics["live.server.queries_handled"] == metrics[
+        "queries.succeeded"
+    ]
     assert sum(
         w.get("queries_handled", 0) for w in stats["workers"]
-    ) == stats["queries_handled"]
+    ) == metrics["live.server.queries_handled"]
     assert stats["runtime"]["reuseport"] is True
     assert pool.exit_code == 0
 
@@ -394,16 +405,15 @@ def test_distributed_load_worker_seeds_derive_from_base():
     pool = ServePool(workers=1, transport="udp", port=0, num_names=8)
     endpoint = pool.start()
     try:
-        report = run_distributed_load(
+        load = run_distributed_load(
             endpoint, transport="udp", rate=120.0, duration=0.3,
             workers=2, num_names=8, seed=9, timeout=5.0,
         )
     finally:
         pool.drain()
         pool.terminate()
-    seeds = [w["seed"] for w in report["workers"]["load"]]
+    seeds = [w["seed"] for w in load["load"]]
     assert seeds == [derive_worker_seed(9, 0), derive_worker_seed(9, 1)]
-    assert report["seed"] == 9
 
 
 @needs_reuseport

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.dns import RecordType
-from repro.experiments import ExperimentConfig, run_resolution_experiment
 from repro.experiments.metrics import fraction_below, percentile
 from repro.scenarios import (
     Scenario,
@@ -246,16 +245,6 @@ class TestRunner:
         assert result.success_rate == 1.0
         issued = sorted({o.issued_at for o in result.outcomes})
         assert len(issued) == 3  # three bursts of four
-
-    def test_legacy_config_path_equivalent(self):
-        config = ExperimentConfig(
-            transport="coap", num_queries=8, loss=0.1, seed=6
-        )
-        legacy = run_resolution_experiment(config)
-        native = ScenarioRunner().run(config.to_scenario())
-        assert legacy.resolution_times == native.resolution_times
-        assert legacy.config is config
-        assert legacy.scenario is not None
 
 
 class TestSweep:

@@ -7,7 +7,7 @@ scheme axes, because every cell seeds its own simulator and no state
 crosses cells.
 """
 
-from repro.experiments import ExperimentConfig, run_repeated
+from repro.api import RunSpec, run
 from repro.scenarios import Scenario, ScenarioRunner, WorkloadSpec
 
 
@@ -79,10 +79,12 @@ class TestParallelSweepDeterminism:
 
 
 class TestRepeatedRunsParallel:
-    def test_run_repeated_workers_match_serial(self):
-        config = ExperimentConfig(num_queries=6, num_names=6)
-        serial = run_repeated(config, runs=3)
-        parallel = run_repeated(config, runs=3, workers=3)
+    def test_repeats_workers_match_serial(self):
+        scenario = Scenario(workload=WorkloadSpec(num_queries=6, num_names=6))
+        serial = run(RunSpec(scenario=scenario, repeats=3))
+        parallel = run(RunSpec(scenario=scenario, repeats=3, workers=3))
+        assert serial.metrics == parallel.metrics
+        serial, parallel = serial.raw, parallel.raw
         assert [r.resolution_times for r in serial] == [
             r.resolution_times for r in parallel
         ]
