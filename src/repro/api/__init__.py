@@ -45,6 +45,7 @@ _EXPORTS = {
     "provenance": ".report",
     "report_from_experiment_result": ".report",
     "report_from_loadgen": ".report",
+    "sweep_report": ".report",
     "ApiError": ".spec",
     "FleetOptions": ".spec",
     "LiveOptions": ".spec",

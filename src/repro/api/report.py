@@ -52,9 +52,10 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 #: Schema version shared by every JSON document the toolkit emits
-#: (unified Reports, the loadgen report, ``experiment --sweep --json``,
-#: and ``repro.perf`` reports). Bump on breaking changes. Version 2
-#: introduced the unified Report; version 1 was the loadgen-only report.
+#: (unified Reports, the loadgen report, the :func:`sweep_report` of a
+#: ``run`` with ``|`` alternatives, and ``repro.perf`` reports). Bump
+#: on breaking changes. Version 2 introduced the unified Report;
+#: version 1 was the loadgen-only report.
 REPORT_VERSION = 2
 
 #: Every substrate a RunSpec can execute on. Single-sourced: RunSpec
@@ -225,6 +226,17 @@ class Report:
 
     def __getitem__(self, key: str) -> object:
         return self.metrics[key]
+
+
+def sweep_report(reports: Dict[str, Report]) -> Dict[str, object]:
+    """The sweep envelope: per-cell Report JSON keyed by cell, under the
+    shared ``report_version`` + provenance stamp."""
+    return {
+        "report_version": REPORT_VERSION,
+        "kind": "sweep",
+        "provenance": provenance(),
+        "cells": {key: report.to_json() for key, report in reports.items()},
+    }
 
 
 # -- the pooling step ------------------------------------------------------

@@ -15,8 +15,9 @@ the same executor backends). All paths emit the same versioned
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Dict, Sequence, Union
 
+from repro.live.wiring import DEFAULT_SECRET
 from repro.obs.log import get_logger
 
 from .report import Report, report_from_experiment_result, report_from_loadgen
@@ -25,9 +26,21 @@ from .spec import RunSpec
 _log = get_logger("repro.api.runner")
 
 
-def run(spec: Union[RunSpec, str]) -> Report:
+def run(
+    spec: Union[RunSpec, str],
+    *,
+    snapshot_sinks: Sequence[Callable[[Dict[str, object]], None]] = (),
+    secret: bytes = DEFAULT_SECRET,
+) -> Report:
     """Execute *spec* (a :class:`RunSpec` or a spec string) and return
-    its :class:`~repro.api.report.Report`."""
+    its :class:`~repro.api.report.Report`.
+
+    Two live-only inputs stay out of the spec (and so out of the
+    Report): *snapshot_sinks* receive each per-second telemetry record
+    of an inline load pass as it is produced (the hook behind
+    ``run --stream`` and the progress line), and *secret* is the OSCORE
+    master secret shared with the server.
+    """
     if isinstance(spec, str):
         spec = RunSpec.from_spec(spec)
     log = _log.bind(
@@ -41,7 +54,7 @@ def run(spec: Union[RunSpec, str]) -> Report:
     elif spec.substrate == "fleet":
         report = _run_fleet(spec)
     else:
-        report = _run_live(spec)
+        report = _run_live(spec, snapshot_sinks, secret)
     log.info(
         "run finished",
         succeeded=report.metrics.get("queries.succeeded"),
@@ -98,7 +111,7 @@ def _run_one_fleet(job):
     return run_fleet(scenario, options)
 
 
-def _run_live(spec: RunSpec) -> Report:
+def _run_live(spec: RunSpec, sinks, secret: bytes) -> Report:
     """The serve+load pairing, one pass per repeat.
 
     Self-serving runs restart the server per repetition so each repeat
@@ -108,7 +121,7 @@ def _run_live(spec: RunSpec) -> Report:
     runs = []
     server_stats = []
     for seed in spec.repeat_seeds():
-        load, stats = _live_repeat(spec, seed)
+        load, stats = _live_repeat(spec, seed, sinks, secret)
         runs.append(load)
         if stats is not None:
             server_stats.append(stats)
@@ -119,7 +132,7 @@ def _run_live(spec: RunSpec) -> Report:
     )
 
 
-def _live_repeat(spec: RunSpec, seed: int):
+def _live_repeat(spec: RunSpec, seed: int, sinks, secret: bytes):
     """One repeat: the serve step, then the load step.
 
     The server is an external host, a forked :class:`ServePool` when
@@ -151,6 +164,7 @@ def _live_repeat(spec: RunSpec, seed: int):
         ttl=workload.ttl,
         scheme=scenario.scheme,
         seed=seed,
+        secret=secret,
     )
     endpoint = None if options.host is None else (options.host, options.port)
     pool = None
@@ -168,6 +182,7 @@ def _live_repeat(spec: RunSpec, seed: int):
                 scheme=scenario.scheme,
                 cache_placement=spec.client_cache_placement(),
                 block_size=scenario.block_size,
+                secret=secret,
                 timeout=options.timeout,
                 num_names=workload.num_names,
                 dataset=options.dataset,
@@ -182,7 +197,7 @@ def _live_repeat(spec: RunSpec, seed: int):
             )
         else:
             load, stats = asyncio.run(
-                _load_inline(spec, scenario, endpoint, server_kwargs)
+                _load_inline(spec, scenario, endpoint, server_kwargs, sinks)
             )
         if pool is not None:
             stats = pool.drain()
@@ -192,7 +207,9 @@ def _live_repeat(spec: RunSpec, seed: int):
     return load, stats
 
 
-async def _load_inline(spec: RunSpec, scenario, endpoint, server_kwargs):
+async def _load_inline(
+    spec: RunSpec, scenario, endpoint, server_kwargs, sinks
+):
     """The in-process load step; with no *endpoint* it also serves in
     process. Returns the loadgen report and the server stats."""
     from repro.live.client import LiveResolver
@@ -215,6 +232,7 @@ async def _load_inline(spec: RunSpec, scenario, endpoint, server_kwargs):
             cache_placement=spec.client_cache_placement(),
             block_size=scenario.block_size,
             seed=scenario.seed + 1,
+            secret=server_kwargs["secret"],
             timeout=options.timeout,
         )
         async with resolver:
@@ -233,6 +251,7 @@ async def _load_inline(spec: RunSpec, scenario, endpoint, server_kwargs):
                 seed=scenario.seed,
                 workload=workload,
                 include_latencies=True,
+                snapshot_sinks=sinks,
             )
         return report, server.stats() if server is not None else None
     finally:

@@ -14,6 +14,7 @@ one :class:`~repro.api.report.Report` every way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Dict, Optional
 
 from repro.fleet.options import FleetOptions, FleetOptionsError
@@ -140,6 +141,12 @@ class RunSpec:
                     "the live substrate has no forward proxy; use a "
                     "client-side cache placement (client-dns, client-coap)"
                 )
+            if self.scenario.run_duration != Scenario().run_duration:
+                raise ApiError(
+                    "duration= does not apply to the live substrate: a "
+                    "live run lasts queries/rate seconds (set queries= "
+                    "and rate=)"
+                )
 
     # -- derivation --------------------------------------------------------
 
@@ -188,8 +195,8 @@ class RunSpec:
         (``sim``/``live``/``fleet``), ``repeats``, ``workers``, the
         live-loop keys ``live-host``, ``live-port``, ``mode``,
         ``concurrency``, ``timeout``, ``serve_workers``,
-        ``load_workers``, and the fleet keys ``churn``, ``duty_cycle``,
-        ``duty_period``, ``flash_crowd``, ``fleet-sample-cap``,
+        ``load_workers``, ``dataset``, ``name-seed``, and the fleet keys
+        ``churn``, ``duty_cycle``, ``duty_period``, ``flash_crowd``, ``fleet-sample-cap``,
         ``fleet-probe-clients``, ``fleet-probe-queries``.
         """
         base = base if base is not None else cls()
@@ -225,6 +232,10 @@ class RunSpec:
                 live_fields["serve_workers"] = int(value)
             elif key in ("load_workers", "load-workers"):
                 live_fields["load_workers"] = int(value)
+            elif key == "dataset":
+                live_fields["dataset"] = value
+            elif key in ("name_seed", "name-seed"):
+                live_fields["name_seed"] = int(value)
             elif key == "churn":
                 fleet_fields["churn"] = float(value)
             elif key in ("duty_cycle", "duty-cycle"):
@@ -263,6 +274,36 @@ class RunSpec:
             live=live,
             fleet=fleet,
         )
+
+    @classmethod
+    def expand(cls, text: str) -> Dict[str, "RunSpec"]:
+        """Expand a spec whose parts may list ``|``-separated
+        alternatives into its sweep cells.
+
+        ``"figure2|one-hop,transport=udp|coap,queries=20"`` yields four
+        cells, the cross product in spec order (the first swept part
+        varies slowest). Each cell is keyed by its swept parts joined by
+        ``,`` (``"figure2,transport=udp"``); a spec without alternatives
+        is one cell keyed ``""``. Every cell is parsed here, so a bad
+        cell raises before any cell runs.
+        """
+        axes = []
+        for part in (p.strip() for p in text.split(",")):
+            if not part:
+                continue
+            key, sep, values = part.rpartition("=")
+            axes.append(
+                [key + sep + value.strip() for value in values.split("|")]
+            )
+        cells: Dict[str, RunSpec] = {}
+        for combo in product(*axes):
+            key = ",".join(
+                choice for choice, axis in zip(combo, axes) if len(axis) > 1
+            )
+            if key in cells:
+                raise ApiError(f"duplicate sweep cell {key!r}")
+            cells[key] = cls.from_spec(",".join(combo))
+        return cells
 
     # -- serialisation -----------------------------------------------------
 

@@ -3,26 +3,22 @@
 Subcommands
 -----------
 ``run``
-    The unified façade: execute one :class:`repro.api.RunSpec` —
-    ``"[preset][,key=value]..."`` including ``substrate=sim|live|fleet``,
+    The one way to launch a run: execute a :class:`repro.api.RunSpec`
+    — ``"[preset][,key=value]..."`` including ``substrate=sim|live|fleet``,
     ``repeats=N``, ``workers=N`` — on any substrate and print (or
-    ``--json``-emit) the versioned unified Report.
+    ``--json``-emit) the versioned unified Report. Alternatives joined
+    by ``|`` (``transport=udp|coap``) sweep their cross product and
+    emit one Report per cell. ``substrate=live`` with
+    ``live-host``/``live-port`` drives load against a running
+    ``serve``; ``--stream`` mirrors its per-second telemetry as NDJSON
+    to stdout, a file, or a TCP peer.
 ``dissect``
     Print the Figure 6 per-layer packet dissection for one transport
     (any registry profile, including the modeled QUIC), or for every
     transport with ``--sweep``.
 ``resolve``
-    Run a demo resolution over a chosen transport/scenario and print
-    timings.
-``experiment``
-    Run a full Figure 7-style experiment — on the default Figure 2
-    setup, on a named/inline scenario (``--scenario``), or as a
-    (transport × topology × loss × cache-placement × scheme) sweep
-    (``--sweep``). ``--cache-placement``/``--cache-scheme`` pick the
-    Section 6.1 caching configuration; with ``--sweep`` they accept
-    comma-separated lists and become grid axes. ``--json`` emits the
-    same unified Report JSON as ``run`` and ``loadtest`` (a sweep
-    emits per-cell Reports keyed by string grid coordinates).
+    Run a demo resolution over an optional scenario spec and print
+    per-name timings.
 ``memory``
     Print the Figure 5 / Figure 8 build-size tables.
 ``compress``
@@ -30,12 +26,6 @@ Subcommands
 ``serve``
     Run the live DoC server on a real UDP socket (any live transport
     profile: udp, dtls, coap, coaps, oscore).
-``loadtest``
-    Drive open- or closed-loop load against a live server and report
-    qps, latency percentiles, timeouts, and cache ratios (``--json``
-    for machine-readable output). Prints a per-second progress line
-    to stderr (silenced by ``--json``); ``--stream`` mirrors the
-    per-second telemetry as NDJSON to stdout, a file, or a TCP peer.
 ``watch``
     Render a telemetry NDJSON stream (from ``--stream``) as live
     qps/p99 lines — from stdin, or over TCP with ``--listen PORT``.
@@ -45,25 +35,23 @@ Examples
 ::
 
     python -m repro.cli run one-hop,transport=coap,queries=20
-    python -m repro.cli run transport=coap,queries=50,substrate=live --json
+    python -m repro.cli run transport=coap,queries=50,loss=0.2,retries=1
+    python -m repro.cli run figure7,transport=oscore
     python -m repro.cli run figure7,repeats=5,workers=4 --json report.json
+    python -m repro.cli run "one-hop|figure2,transport=udp|coap|oscore" --json
+    python -m repro.cli run "cache=none|client-coap+proxy,workers=2"
+    python -m repro.cli run transport=coap,queries=50,substrate=live --json
     python -m repro.cli serve --transport udp
-    python -m repro.cli serve --transport oscore --port 5853 --duration 30
-    python -m repro.cli loadtest --rate 50 --duration 2 --json
-    python -m repro.cli loadtest --transport oscore --mode closed \
-        --concurrency 16 --duration 5
+    python -m repro.cli run "transport=udp,queries=100,rate=50,substrate=live,
+        live-host=127.0.0.1,live-port=5853" --json
+    python -m repro.cli serve --transport oscore --duration 30
+    python -m repro.cli run "transport=oscore,mode=closed,concurrency=16,
+        queries=250,rate=50,substrate=live,live-host=127.0.0.1,
+        live-port=5853" --stream -
     python -m repro.cli dissect --transport oscore
     python -m repro.cli dissect --sweep
-    python -m repro.cli resolve --transport coaps --names 5
-    python -m repro.cli resolve --scenario three-hop,loss=0.1
-    python -m repro.cli experiment --transport coap --queries 50 --loss 0.2
-    python -m repro.cli experiment --scenario figure7,transport=oscore
-    python -m repro.cli experiment --cache-placement client-coap+proxy \
-        --cache-scheme doh-like
-    python -m repro.cli experiment --sweep --transports udp,coap,oscore \
-        --topologies figure2,one-hop --losses 0.05,0.25 --queries 20
-    python -m repro.cli experiment --sweep --transports coap \
-        --cache-placement none,client-coap,all --cache-scheme doh-like,eol-ttls
+    python -m repro.cli resolve transport=coaps --names 5
+    python -m repro.cli resolve three-hop,loss=0.1
     python -m repro.cli memory
     python -m repro.cli compress --name device.example.org
 """
@@ -73,52 +61,6 @@ from __future__ import annotations
 import argparse
 import sys
 from typing import List, Optional
-
-#: Fallbacks for ``experiment`` flags when no ``--scenario`` is given
-#: (flags default to ``None`` so explicit values can override a
-#: scenario's own settings).
-_EXPERIMENT_DEFAULTS = {
-    "transport": "coap",
-    "queries": 50,
-    "loss": 0.15,
-    "l2_retries": 1,
-    "seed": 1,
-}
-
-#: CLI flag → scenario-spec key, shared by ``resolve`` and ``experiment``.
-_FLAG_SPEC_KEYS = {
-    "transport": "transport",
-    "queries": "queries",
-    "loss": "loss",
-    "l2_retries": "retries",
-    "seed": "seed",
-}
-
-
-def _merged_scenario(args: argparse.Namespace, flags, defaults):
-    """Scenario from ``--scenario`` (or defaults) with flag overrides.
-
-    *flags* names the argparse attributes to consider; explicit flag
-    values always win, *defaults* fill in only when no ``--scenario``
-    was given.
-    """
-    from repro.scenarios import Scenario, scenario_from_spec
-
-    if args.scenario:
-        scenario = scenario_from_spec(args.scenario)
-        defaults = {}
-    else:
-        scenario = Scenario()
-    overrides = []
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is None:
-            value = defaults.get(flag)
-        if value is not None:
-            overrides.append(f"{_FLAG_SPEC_KEYS[flag]}={value}")
-    if overrides:
-        scenario = scenario_from_spec(",".join(overrides), base=scenario)
-    return scenario
 
 
 def _emit_json(payload: dict, dest: str) -> None:
@@ -135,8 +77,7 @@ def _emit_json(payload: dict, dest: str) -> None:
 
 
 def _print_report(report) -> None:
-    """Human summary of a unified Report (shared by ``run``,
-    ``experiment`` and ``loadtest``)."""
+    """Human summary of one unified Report."""
     metrics = report.metrics
     spec = report.spec
     print(f"substrate:        {report.substrate}")
@@ -168,18 +109,117 @@ def _print_report(report) -> None:
         print(f"frames @2hop:     {metrics['sim.link.frames_2hop']}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.api import RunSpec, run
+def _hit_ratio(metrics) -> Optional[float]:
+    """Hit ratio over every lookup the client and proxy caches saw
+    (``None`` when the run had none of those caches)."""
+    counts = {"hits": 0, "stale_hits": 0, "misses": 0}
+    for name, value in metrics.items():
+        if name.startswith(("cache.", "sim.cache.proxy.")):
+            kind = name.rsplit(".", 1)[1]
+            if kind in counts:
+                counts[kind] += value
+    lookups = sum(counts.values())
+    return counts["hits"] / lookups if lookups else None
 
-    spec = RunSpec.from_spec(args.spec)
-    report = run(spec)
+
+def _print_sweep(reports) -> None:
+    """One row per sweep cell, read from its Report metrics."""
+    width = max(len(key) for key in reports)
+    print(f"{'cell':{width}s} {'queries':>7s} {'success':>8s} "
+          f"{'p50 ms':>9s} {'p95 ms':>9s} {'qps':>9s} "
+          f"{'frames@1hop':>11s} {'hit%':>6s}")
+
+    def column(value, spec: str, size: int) -> str:
+        return f"{'-':>{size}s}" if value is None else f"{value:{size}{spec}}"
+
+    for key, report in reports.items():
+        metrics = report.metrics
+        print(
+            f"{key:{width}s} {metrics['queries.issued']:7d} "
+            f"{metrics['queries.success_rate']:8.2%} "
+            f"{column(metrics['latency.p50_ms'], '.1f', 9)} "
+            f"{column(metrics['latency.p95_ms'], '.1f', 9)} "
+            f"{metrics['throughput.qps']:9.2f} "
+            f"{column(metrics.get('sim.link.frames_1hop'), 'd', 11)} "
+            f"{column(_hit_ratio(metrics), '.1%', 6)}"
+        )
+
+
+def _run_sweep(cells, sinks, secret: bytes):
+    """Run every sweep cell through :func:`repro.api.run`, in spec order.
+
+    Sim and fleet cells fan out over the scenario executors
+    (``workers=N`` picks N processes) and each runs its repeats
+    serially; live cells run one after another.
+    """
+    from dataclasses import replace
+
+    from repro.api import run
+    from repro.scenarios.executors import get_executor
+
+    workers = max(spec.workers or 1 for spec in cells.values())
+    batch = [
+        replace(spec, workers=None)
+        for spec in cells.values() if spec.substrate != "live"
+    ]
+    done = iter(get_executor(None, workers).map(run, batch))
+    return {
+        key: (
+            run(spec, snapshot_sinks=sinks, secret=secret)
+            if spec.substrate == "live" else next(done)
+        )
+        for key, spec in cells.items()
+    }
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.api import RunSpec, run, sweep_report
+
+    # Every cell is parsed (and validated) before any of them runs.
+    cells = RunSpec.expand(args.spec)
+    live = [spec for spec in cells.values() if spec.substrate == "live"]
+    if args.stream and not live:
+        print("error: --stream applies to the live substrate",
+              file=sys.stderr)
+        return 2
+    # Per-second telemetry of live load: a progress line on stderr
+    # (silenced by --json, which owns the machine-readable contract),
+    # plus the optional --stream NDJSON destination.
+    sinks = [_progress_sink] if live and args.json is None else []
+    stream_close = None
+    if args.stream:
+        if any(spec.live.load_workers > 1 for spec in live):
+            print(
+                "warning: --stream applies to the single-process path; "
+                "distributed runs carry their merged telemetry in the "
+                "final report only",
+                file=sys.stderr, flush=True,
+            )
+        else:
+            stream_sink, stream_close = _open_stream_sink(args.stream)
+            sinks.append(stream_sink)
+    secret = args.secret.encode()
+    sweep = len(cells) > 1
+    try:
+        if sweep:
+            reports = _run_sweep(cells, sinks, secret)
+        else:
+            (spec,) = cells.values()
+            reports = {"": run(spec, snapshot_sinks=sinks, secret=secret)}
+    finally:
+        if stream_close is not None:
+            stream_close()
     if args.json is not None:
-        _emit_json(report.to_json(), args.json)
+        payload = sweep_report(reports) if sweep else reports[""].to_json()
+        _emit_json(payload, args.json)
+    elif sweep:
+        _print_sweep(reports)
     else:
-        _print_report(report)
-    return 0 if (
+        _print_report(reports[""])
+    return 0 if all(
         report.metrics["queries.issued"]
         and report.metrics["queries.success_rate"] > 0
+        for report in reports.values()
     ) else 1
 
 
@@ -212,14 +252,11 @@ def _cmd_dissect(args: argparse.Namespace) -> int:
 
 def _cmd_resolve(args: argparse.Namespace) -> int:
     from repro.dns import RecordType, RecursiveResolver, Zone
+    from repro.scenarios import scenario_from_spec
     from repro.sim import Simulator
     from repro.transports.registry import TransportEnv, registry
 
-    scenario = _merged_scenario(
-        args,
-        flags=("transport", "loss", "seed"),
-        defaults={"transport": "coap", "loss": 0.05, "seed": 1},
-    )
+    scenario = scenario_from_spec(args.spec)
 
     profile = registry.get(scenario.transport)
     sim = Simulator(seed=scenario.seed)
@@ -260,150 +297,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     for index in range(args.names):
         sim.schedule(index * 0.5, issue, index)
     sim.run(until=60)
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.experiments.metrics import fraction_below, percentile
-    from repro.scenarios import ScenarioRunner, get_topology
-
-    runner = ScenarioRunner()
-    scenario = _merged_scenario(
-        args,
-        flags=("transport", "queries", "loss", "l2_retries", "seed"),
-        defaults=_EXPERIMENT_DEFAULTS,
-    )
-
-    if not args.sweep:
-        for flag in ("transports", "topologies", "losses", "workers"):
-            if getattr(args, flag) is not None:
-                print(f"error: --{flag} requires --sweep", file=sys.stderr)
-                return 2
-        for flag in ("cache_placement", "cache_scheme"):
-            value = getattr(args, flag)
-            if value is not None and "," in value:
-                name = flag.replace("_", "-")
-                print(f"error: a comma-separated --{name} list requires "
-                      f"--sweep", file=sys.stderr)
-                return 2
-        overrides = []
-        if args.cache_placement is not None:
-            overrides.append(f"cache={args.cache_placement}")
-        if args.cache_scheme is not None:
-            overrides.append(f"scheme={args.cache_scheme}")
-        if overrides:
-            from repro.scenarios import scenario_from_spec
-
-            scenario = scenario_from_spec(",".join(overrides), base=scenario)
-
-    if args.sweep:
-        if args.loss is not None:
-            print("error: use --losses (not --loss) with --sweep",
-                  file=sys.stderr)
-            return 2
-        if args.transport is not None:
-            print("error: use --transports (not --transport) with --sweep",
-                  file=sys.stderr)
-            return 2
-        transports = (args.transports or "udp,coap,oscore").split(",")
-        losses = [
-            float(value) for value in (args.losses or "0.05,0.25").split(",")
-        ]
-        # Keep sweep cells comparable with single runs: the run's MAC
-        # retry setting applies to every topology preset.
-        topologies = [
-            replace(get_topology(name), l2_retries=scenario.topology.l2_retries)
-            for name in (args.topologies or "figure2,one-hop").split(",")
-        ]
-        placements = (
-            args.cache_placement.split(",") if args.cache_placement else None
-        )
-        schemes = (
-            args.cache_scheme.split(",") if args.cache_scheme else None
-        )
-        sweep = runner.sweep(
-            base=scenario,
-            transports=transports,
-            topologies=topologies,
-            losses=losses,
-            cache_placements=placements,
-            schemes=schemes,
-            workers=args.workers,
-        )
-        if args.json is not None:
-            _emit_json(sweep.to_json(), args.json)
-            return 0
-        cache_axes = placements is not None or schemes is not None
-        header = (f"{'transport':10s} {'topology':14s} {'loss':>5s} "
-                  f"{'success':>8s} {'median':>9s} {'p95':>9s} "
-                  f"{'frames@1hop':>12s}")
-        if cache_axes:
-            header += (f" {'cache':>28s} {'scheme':>9s} "
-                       f"{'hit%':>6s} {'valid':>6s}")
-        print(header)
-        for cell in sweep:
-            metrics = cell.metrics()
-            row = (
-                f"{cell.transport:10s} {cell.topology:14s} {cell.loss:5.2f} "
-                f"{metrics['success_rate']:8.2%} "
-                f"{metrics['median_s'] * 1000:7.1f} ms "
-                f"{metrics['p95_s']:7.2f} s "
-                f"{metrics['frames_1hop']:12d}"
-            )
-            if cache_axes:
-                # Hit ratio over every lookup the clients' caches saw
-                # (client DNS + client CoAP + proxy), and the total
-                # successful revalidations — the Figure 11 events.
-                locations = ("client_dns", "client_coap", "proxy")
-                hits = sum(
-                    metrics.get(f"{loc}_hits", 0) for loc in locations
-                )
-                lookups = hits + sum(
-                    metrics.get(f"{loc}_{kind}", 0)
-                    for loc in locations
-                    for kind in ("stale_hits", "misses")
-                )
-                hit_pct = hits / lookups if lookups else 0.0
-                validations = sum(
-                    metrics.get(f"{loc}_validations", 0) for loc in locations
-                )
-                row += (
-                    f" {cell.placement or '-':>28s} {cell.scheme or '-':>9s} "
-                    f"{hit_pct:6.1%} {validations:6d}"
-                )
-            print(row)
-        return 0
-
-    # The single run flows through the unified façade: the Report is
-    # what --json emits, its raw ExperimentResult what the legacy
-    # human-readable summary is printed from.
-    from repro.api import RunSpec
-    from repro.api import run as api_run
-
-    report = api_run(RunSpec.from_scenario(scenario))
-    if args.json is not None:
-        _emit_json(report.to_json(), args.json)
-        return 0
-    result = report.raw
-    times = result.resolution_times
-    print(f"transport:        {scenario.transport}")
-    print(f"queries:          {len(result.outcomes)}")
-    print(f"success rate:     {result.success_rate:.2%}")
-    if times:
-        print(f"< 250 ms:         {fraction_below(times, 0.25):.0%}")
-        print(f"median:           {percentile(times, 50) * 1000:.1f} ms")
-        print(f"p95:              {percentile(times, 95):.2f} s")
-        print(f"max:              {max(times):.2f} s")
-    print(f"frames @1hop:     {result.link.frames_1hop}")
-    print(f"frames @2hop:     {result.link.frames_2hop}")
-    for location, stats in sorted(result.cache_stats.items()):
-        print(
-            f"cache {location:12s} hits {stats.hits:4d}  "
-            f"stale {stats.stale_hits:4d}  valid {stats.validations:4d}  "
-            f"hit-ratio {stats.hit_ratio:.0%}"
-        )
     return 0
 
 
@@ -639,159 +532,13 @@ def _cmd_serve_pool(args: argparse.Namespace) -> int:
     return pool.exit_code
 
 
-def _loadtest_report(args: argparse.Namespace, workload, load):
-    """The unified Report for one ``loadtest`` pass: the loadgen report
-    (or distributed pass) plus the RunSpec description reconstructed
-    from the CLI flags."""
-    from dataclasses import replace
-
-    from repro.api import LiveOptions, RunSpec
-    from repro.api.report import report_from_loadgen
-    from repro.scenarios import CachingSpec, Scenario
-
-    report = report_from_loadgen(load)
-    report.spec = RunSpec(
-        scenario=Scenario(
-            name="loadtest",
-            transport=args.transport,
-            workload=replace(
-                workload,
-                num_queries=max(1, report.metrics["queries.issued"]),
-                num_names=args.names,
-                query_rate=(
-                    args.rate if args.mode == "open" else workload.query_rate
-                ),
-            ),
-            scheme=_parse_scheme(args.cache_scheme),
-            # `--client-cache all` means "every cache the live client
-            # has" — strip the proxy bit the placement vocabulary would
-            # otherwise imply (the resolver accepts it the same way).
-            caching=replace(
-                CachingSpec.from_placement(args.client_cache), proxy=False
-            ),
-        ),
-        substrate="live",
-        seed=args.seed,
-        live=LiveOptions(
-            host=args.host, port=args.port, mode=args.mode,
-            concurrency=args.concurrency, timeout=args.timeout,
-            dataset=args.dataset, name_seed=args.name_seed,
-            load_workers=args.workers,
-        ),
-    ).to_dict()
-    return report
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.live import LiveResolver, build_names, generate_load
-    from repro.scenarios import WorkloadSpec
-
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    workload = WorkloadSpec(
-        arrival=args.arrival,
-        burst_on=args.burst_on,
-        burst_off=args.burst_off,
-        zipf_alpha=args.zipf,
-    )
-    names = build_names(
-        args.names, dataset=args.dataset, name_seed=args.name_seed
-    )
-    resolver = LiveResolver(
-        (args.host, args.port),
-        transport=args.transport,
-        scheme=_parse_scheme(args.cache_scheme),
-        cache_placement=args.client_cache,
-        seed=args.seed + 1,
-        secret=args.secret.encode(),
-        timeout=args.timeout,
-    )
-
-    # Per-second telemetry sinks: a progress line on stderr by default
-    # (silenced by --json, which owns the machine-readable contract),
-    # plus the optional --stream NDJSON destination.
-    sinks = []
-    stream_close = None
-    if args.json is None:
-        sinks.append(_progress_sink)
-    if args.stream:
-        if args.workers > 1:
-            print(
-                "warning: --stream applies to the single-process path; "
-                "distributed runs carry their merged telemetry in the "
-                "final report only",
-                file=sys.stderr, flush=True,
-            )
-        else:
-            stream_sink, stream_close = _open_stream_sink(args.stream)
-            sinks.append(stream_sink)
-
-    async def run() -> dict:
-        async with resolver:
-            return await generate_load(
-                resolver,
-                names,
-                rate=args.rate,
-                duration=args.duration,
-                mode=args.mode,
-                concurrency=args.concurrency,
-                timeout=args.timeout,
-                seed=args.seed,
-                workload=workload,
-                include_latencies=True,
-                snapshot_sinks=sinks,
-            )
-
-    if args.workers > 1:
-        from repro.live import run_distributed_load
-
-        load = run_distributed_load(
-            (args.host, args.port),
-            transport=args.transport,
-            scheme=_parse_scheme(args.cache_scheme),
-            cache_placement=args.client_cache,
-            secret=args.secret.encode(),
-            timeout=args.timeout,
-            num_names=args.names,
-            dataset=args.dataset,
-            name_seed=args.name_seed,
-            rate=args.rate,
-            duration=args.duration,
-            mode=args.mode,
-            concurrency=args.concurrency,
-            seed=args.seed,
-            workload=workload,
-            workers=args.workers,
-        )
-    else:
-        try:
-            load = asyncio.run(run())
-        finally:
-            if stream_close is not None:
-                stream_close()
-    # The output is the unified Report — the same document `repro run`
-    # emits — with the loadgen report available as its raw form.
-    report = _loadtest_report(args, workload, load)
-    if args.json is not None:
-        _emit_json(report.to_json(), args.json)
-    else:
-        _print_report(report)
-    return 0 if (
-        report.metrics["queries.issued"]
-        and report.metrics["queries.success_rate"] > 0
-    ) else 1
-
-
 def _cmd_watch(args: argparse.Namespace) -> int:
     """``repro watch``: render a live telemetry NDJSON stream.
 
     Reads per-second snapshot lines (the ``--stream`` vocabulary)
     from stdin by default, or accepts one TCP line-stream connection
     with ``--listen PORT`` — the peer for
-    ``loadtest --stream tcp:HOST:PORT``. Malformed or non-snapshot
+    ``run ... --stream tcp:HOST:PORT``. Malformed or non-snapshot
     lines are skipped with a note on stderr, so the stream can be
     piped through without pre-filtering.
     """
@@ -903,20 +650,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    from repro.live.wiring import (
+        DEFAULT_LIVE_PORT,
+        DEFAULT_SECRET,
+        LIVE_TRANSPORTS,
+    )
+
+    secret_help = "shared OSCORE master secret (oscore transport)"
+    stream_help = (
+        "emit per-second telemetry snapshots as NDJSON to DEST: '-' for "
+        "stdout, tcp:HOST:PORT (e.g. a `repro watch --listen` peer), or "
+        "a file path"
+    )
     run = subparsers.add_parser(
         "run",
-        help="run a unified RunSpec on any substrate (repro.api)",
+        help="run a unified RunSpec (or a sweep of them) on any substrate",
     )
     run.add_argument(
         "spec", metavar="SPEC",
         help="run spec: scenario keys plus substrate=sim|live|fleet, "
              "repeats=N, workers=N, live-host/live-port/mode/"
-             "concurrency/timeout, churn/duty_cycle/flash_crowd, e.g. "
-             "'one-hop,transport=coap,clients=1000000,substrate=fleet'",
+             "concurrency/timeout/dataset/name-seed, "
+             "churn/duty_cycle/flash_crowd, e.g. "
+             "'one-hop,transport=coap,clients=1000000,substrate=fleet'; "
+             "'|' lists alternatives whose cross product runs as a "
+             "sweep, e.g. 'figure2|one-hop,transport=udp|coap'",
     )
     run.add_argument(
         "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="emit the unified Report JSON (to stdout, or to PATH)",
+        help="emit the unified Report JSON (a sweep emits per-cell "
+             "Reports keyed by cell; to stdout, or to PATH)",
+    )
+    run.add_argument(
+        "--stream", default=None, metavar="DEST",
+        help=f"live runs: {stream_help}",
+    )
+    run.add_argument(
+        "--secret", default=DEFAULT_SECRET.decode(),
+        help=f"{secret_help}; never written to the Report",
     )
     run.set_defaults(func=_cmd_run)
 
@@ -935,116 +706,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     resolve = subparsers.add_parser("resolve", help="demo DoC resolution")
     resolve.add_argument(
-        "--transport", default=None,
-        choices=transport_names(simulatable_only=True),
-    )
-    resolve.add_argument(
-        "--scenario", default=None, metavar="SPEC",
+        "spec", nargs="?", default="", metavar="SPEC",
         help="scenario preset/spec, e.g. three-hop,loss=0.1",
     )
     resolve.add_argument("--names", type=int, default=4)
-    resolve.add_argument("--loss", type=float, default=None)
-    resolve.add_argument("--seed", type=int, default=None)
     resolve.set_defaults(func=_cmd_resolve)
-
-    experiment = subparsers.add_parser("experiment", help="Figure 7-style run")
-    experiment.add_argument(
-        "--transport", default=None,
-        choices=transport_names(simulatable_only=True),
-    )
-    experiment.add_argument(
-        "--scenario", default=None, metavar="SPEC",
-        help="scenario preset/spec, e.g. figure7,transport=oscore",
-    )
-    experiment.add_argument(
-        "--sweep", action="store_true",
-        help="run a transport × topology × loss sweep",
-    )
-    experiment.add_argument(
-        "--transports", default=None, metavar="LIST",
-        help="sweep: comma-separated transports (default udp,coap,oscore)",
-    )
-    experiment.add_argument(
-        "--topologies", default=None, metavar="LIST",
-        help="sweep: comma-separated topology presets "
-             "(default figure2,one-hop)",
-    )
-    experiment.add_argument(
-        "--losses", default=None, metavar="LIST",
-        help="sweep: comma-separated loss rates (default 0.05,0.25)",
-    )
-    experiment.add_argument(
-        "--cache-placement", default=None, metavar="SPEC",
-        help="cache placement: +-joined locations among client-dns, "
-             "client-coap, proxy (or all/none); with --sweep a "
-             "comma-separated list becomes a grid axis",
-    )
-    experiment.add_argument(
-        "--cache-scheme", default=None, metavar="SCHEME",
-        help="TTL handling scheme (doh-like or eol-ttls); with --sweep "
-             "a comma-separated list becomes a grid axis",
-    )
-    experiment.add_argument("--queries", type=int, default=None)
-    experiment.add_argument("--loss", type=float, default=None)
-    experiment.add_argument("--l2-retries", type=int, default=None)
-    experiment.add_argument("--seed", type=int, default=None)
-    experiment.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="sweep: run grid cells on N worker processes "
-             "(default 1 = in-process serial; results are identical)",
-    )
-    experiment.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="emit the unified Report JSON instead of the table "
-             "(a sweep emits per-cell Reports keyed by grid "
-             "coordinates; to stdout, or to PATH)",
-    )
-    experiment.set_defaults(func=_cmd_experiment)
-
-    from repro.live.wiring import DEFAULT_LIVE_PORT, LIVE_TRANSPORTS
-
-    def add_live_common(sub) -> None:
-        # One shared default so a bare `serve` and a bare `loadtest`
-        # always speak the same protocol.
-        sub.add_argument(
-            "--transport", default="udp", choices=list(LIVE_TRANSPORTS),
-        )
-        sub.add_argument("--host", default="127.0.0.1")
-        sub.add_argument("--port", type=int, default=DEFAULT_LIVE_PORT)
-        sub.add_argument(
-            "--names", type=int, default=50,
-            help="size of the name universe (server zone = loadgen names)",
-        )
-        sub.add_argument(
-            "--dataset", default=None,
-            help="draw names from a Section 3 dataset profile "
-                 "(yourthings, iotfinder, moniotr, ixp)",
-        )
-        sub.add_argument(
-            "--name-seed", type=int, default=7,
-            help="seed of the shared name universe (must match between "
-                 "serve and loadtest)",
-        )
-        sub.add_argument(
-            "--cache-scheme", default="eol-ttls",
-            help="TTL handling scheme (doh-like or eol-ttls)",
-        )
-        sub.add_argument("--seed", type=int, default=1)
-        sub.add_argument(
-            "--secret", default="repro-live-master-secret",
-            help="shared OSCORE master secret (oscore transport)",
-        )
-        sub.add_argument(
-            "--workers", type=int, default=1,
-            help="worker processes: serve shards one port via "
-                 "SO_REUSEPORT, loadtest forks distributed generators "
-                 "(default 1 = the single-process path)",
-        )
 
     serve = subparsers.add_parser(
         "serve", help="live DoC server on a real UDP socket"
     )
-    add_live_common(serve)
+    serve.add_argument(
+        "--transport", default="udp", choices=list(LIVE_TRANSPORTS),
+    )
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=DEFAULT_LIVE_PORT)
+    serve.add_argument(
+        "--names", type=int, default=50,
+        help="size of the name universe (server zone = loadgen names)",
+    )
+    serve.add_argument(
+        "--dataset", default=None,
+        help="draw names from a Section 3 dataset profile "
+             "(yourthings, iotfinder, moniotr, ixp)",
+    )
+    serve.add_argument(
+        "--name-seed", type=int, default=7,
+        help="seed of the shared name universe (must match the "
+             "name-seed= of a live run against this server)",
+    )
+    serve.add_argument(
+        "--cache-scheme", default="eol-ttls",
+        help="TTL handling scheme (doh-like or eol-ttls)",
+    )
+    serve.add_argument("--seed", type=int, default=1)
+    serve.add_argument(
+        "--secret", default=DEFAULT_SECRET.decode(), help=secret_help,
+    )
+    serve.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes sharding one port via SO_REUSEPORT "
+             "(default 1 = the single-process path)",
+    )
     serve.add_argument(
         "--duration", type=float, default=0.0,
         help="stop after this many seconds (default: run until Ctrl-C)",
@@ -1055,59 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
              "TCP port (0 = ephemeral; sharded pools serve merged "
              "per-worker + pool-total series)",
     )
-    serve.add_argument(
-        "--stream", default=None, metavar="DEST",
-        help="emit per-second telemetry snapshots as NDJSON to DEST: "
-             "'-' for stdout, tcp:HOST:PORT, or a file path",
-    )
+    serve.add_argument("--stream", default=None, metavar="DEST",
+                       help=stream_help)
     serve.set_defaults(func=_cmd_serve)
-
-    loadtest = subparsers.add_parser(
-        "loadtest", help="drive load against a live server"
-    )
-    add_live_common(loadtest)
-    loadtest.add_argument(
-        "--rate", type=float, default=50.0,
-        help="open-loop offered rate in queries/s",
-    )
-    loadtest.add_argument("--duration", type=float, default=2.0)
-    loadtest.add_argument(
-        "--mode", default="open", choices=["open", "closed"],
-    )
-    loadtest.add_argument(
-        "--concurrency", type=int, default=8,
-        help="closed-loop worker count",
-    )
-    loadtest.add_argument(
-        "--timeout", type=float, default=10.0,
-        help="per-query deadline in seconds",
-    )
-    loadtest.add_argument(
-        "--arrival", default="poisson", choices=["poisson", "bursty"],
-        help="open-loop arrival process",
-    )
-    loadtest.add_argument("--burst-on", type=float, default=1.0)
-    loadtest.add_argument("--burst-off", type=float, default=4.0)
-    loadtest.add_argument(
-        "--zipf", type=float, default=None, metavar="ALPHA",
-        help="Zipf(α) name popularity (default: round-robin)",
-    )
-    loadtest.add_argument(
-        "--client-cache", default="none", metavar="SPEC",
-        help="client cache placement: +-joined among client-dns, "
-             "client-coap (or all/none)",
-    )
-    loadtest.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="emit the JSON report (to stdout, or to PATH)",
-    )
-    loadtest.add_argument(
-        "--stream", default=None, metavar="DEST",
-        help="emit per-second telemetry snapshots as NDJSON to DEST: "
-             "'-' for stdout, tcp:HOST:PORT (e.g. a `repro watch "
-             "--listen` peer), or a file path",
-    )
-    loadtest.set_defaults(func=_cmd_loadtest)
 
     watch = subparsers.add_parser(
         "watch",

@@ -20,7 +20,7 @@ asyncio runtime:
   generation with merged reports.
 
 The CLI front-ends are ``python -m repro.cli serve`` and
-``python -m repro.cli loadtest``.
+``python -m repro.cli run ...,substrate=live,live-host=H,live-port=P``.
 
 Attribute access is lazy (PEP 562): importing :mod:`repro.live` is
 nearly free, and each symbol pulls in only its own module — the CLI
@@ -41,7 +41,6 @@ _EXPORTS = {
     "REPORT_VERSION": ".loadgen",
     "LoadGenError": ".loadgen",
     "generate_load": ".loadgen",
-    "generate_report": ".loadgen",
     "DEFAULT_RESERVOIR_CAPACITY": ".reservoir",
     "LatencyReservoir": ".reservoir",
     "DocLiveServer": ".server",

@@ -54,7 +54,6 @@ __all__ = [
     "REPORT_FIELDS",
     "REPORT_VERSION",
     "generate_load",
-    "generate_report",
 ]
 
 
@@ -172,8 +171,8 @@ async def generate_load(
         else:
             if result.ok:
                 # A response is only a success when the name resolved:
-                # NXDOMAIN against a mismatched zone (e.g. differing
-                # --name-seed between serve and loadtest) must not
+                # NXDOMAIN against a mismatched zone (e.g. a differing
+                # name seed between serve and load) must not
                 # read as a healthy run.
                 count_ok.inc()
                 latencies.add(result.rtt)
@@ -271,26 +270,3 @@ async def generate_load(
             round(s * 1000, 3) for s in latencies.samples
         ]
     return report
-
-
-async def generate_report(
-    resolver: LiveResolver,
-    names: Sequence[str],
-    spec: Optional[Dict[str, object]] = None,
-    server_stats: Optional[Dict[str, object]] = None,
-    **kwargs,
-) -> "Report":
-    """Run one pass and return the unified :class:`repro.api.Report`
-    (the native vocabulary of the façade; :func:`generate_load` keeps
-    returning the flat loadgen dict, available as ``report.raw``).
-
-    *spec* stamps the Report's run description (a
-    :meth:`repro.api.RunSpec.to_dict` document); *server_stats*
-    attaches the paired server's counters under ``live.server.*``.
-    Remaining keyword arguments pass through to :func:`generate_load`.
-    """
-    from repro.api.report import report_from_loadgen
-
-    kwargs.setdefault("include_latencies", True)
-    report = await generate_load(resolver, names, **kwargs)
-    return report_from_loadgen(report, spec=spec, server_stats=server_stats)

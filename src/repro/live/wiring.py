@@ -1,8 +1,9 @@
 """Shared live-runtime wiring: names, zones, and security material.
 
-The ``serve`` and ``loadtest`` halves of the live runtime usually run
-in *separate processes*, so everything both sides must agree on is
-derived deterministically here from CLI-visible inputs:
+The ``serve`` and load (``run ...,substrate=live``) halves of the live
+runtime usually run in *separate processes*, so everything both sides
+must agree on is derived deterministically here from CLI-visible
+inputs:
 
 * the name universe — either the synthetic 24-character template the
   simulated runner uses, or a :mod:`repro.datasets` profile sampled
@@ -22,8 +23,8 @@ from repro.transports.registry import registry
 
 #: Default UDP port of the live runtime. The registry's canonical
 #: ports (53/5683/853) need elevated privileges to bind; the live
-#: default stays in userland and is shared by ``serve`` and
-#: ``loadtest`` so the two halves meet without flags.
+#: default stays in userland; point a live ``run`` at it with
+#: ``live-host=127.0.0.1,live-port=5853``.
 DEFAULT_LIVE_PORT = 5853
 
 #: Transports the live runtime can wire end-to-end.

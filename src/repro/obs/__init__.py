@@ -10,7 +10,7 @@ Dependency-free instrumentation shared by every serving layer:
   run/worker/request context (``repro.obs.get_logger``);
 * :mod:`repro.obs.telemetry` — per-second :class:`TelemetrySampler`
   diffing registry snapshots into the NDJSON time series streamed by
-  ``loadtest --stream``, rendered by ``repro watch``, and embedded in
+  ``run ... --stream``, rendered by ``repro watch``, and embedded in
   Reports as the ``telemetry`` block;
 * :mod:`repro.obs.http` — the minimal asyncio listener behind
   ``--metrics-port`` serving ``/metrics`` and ``/healthz``.

@@ -7,7 +7,7 @@
   it (including ``sweep`` over transport × topology × loss ×
   cache-placement × scheme grids);
 * :mod:`repro.scenarios.presets` — named topologies/scenarios and the
-  ``key=value`` spec parser behind the CLI's ``--scenario`` flag.
+  ``key=value`` spec parser behind the CLI's ``run``/``resolve`` specs.
 """
 
 from .executors import (

@@ -7,8 +7,9 @@ the same :class:`~repro.experiments.resolution.ExperimentResult`
 metrics structs the Figure 7/10/11/15 benchmarks consume.
 :meth:`ScenarioRunner.sweep` enumerates a
 (transport × topology × loss × cache-placement × caching-scheme) grid
-in one call and returns per-cell metrics, including the per-location
-cache hit/stale/validation ratios of Figure 11.
+in one call; each cell reads as a unified Report
+(:meth:`SweepCell.report`), including the per-location cache
+hit/stale/validation ratios of Figure 11.
 """
 
 from __future__ import annotations
@@ -83,13 +84,6 @@ def build_workload_zone(workload: WorkloadSpec, rng, names=None):
     return zone
 
 
-# Module-level so SweepCell.metrics() stops re-importing per call —
-# but placed *below* the symbols `repro.experiments.resolution` pulls
-# from this module: the two modules import each other, and only this
-# ordering keeps both import directions cycle-safe.
-from repro.experiments.metrics import percentile  # noqa: E402
-
-
 @dataclass
 class SweepCell:
     """One grid point and its result.
@@ -115,53 +109,6 @@ class SweepCell:
             self.transport, self.topology, self.loss,
             self.placement, self.scheme,
         )
-
-    @property
-    def key_string(self) -> str:
-        """The grid coordinate as a stable ``/``-joined string — the
-        JSON-object key of :meth:`SweepResult.to_json` (tuples cannot
-        key a JSON object)."""
-        parts = [self.transport, self.topology, f"{self.loss:g}"]
-        if self.placement is not None:
-            parts.append(self.placement)
-        if self.scheme is not None:
-            parts.append(self.scheme)
-        return "/".join(parts)
-
-    def metrics(self) -> Dict[str, float]:
-        """The per-cell summary a sweep table reports.
-
-        Besides the timing/link metrics, every cache location that was
-        active in the run contributes its Figure 11 event counters and
-        ratios under ``<location>_...`` keys (locations: ``client_dns``,
-        ``client_coap``, ``proxy``, ``resolver``).
-        """
-        result = self.result
-        times = result.resolution_times
-        metrics = {
-            "queries": len(result.outcomes),
-            "success_rate": result.success_rate,
-            "median_s": percentile(times, 50) if times else float("nan"),
-            "p95_s": percentile(times, 95) if times else float("nan"),
-            "p99_s": percentile(times, 99) if times else float("nan"),
-            "mean_s": sum(times) / len(times) if times else float("nan"),
-            "max_s": max(times) if times else float("nan"),
-            "frames_1hop": result.link.frames_1hop,
-            "frames_2hop": result.link.frames_2hop,
-            "bytes_1hop": result.link.bytes_1hop,
-            "bytes_2hop": result.link.bytes_2hop,
-        }
-        for location, stats in sorted(result.cache_stats.items()):
-            prefix = location.replace("-", "_")
-            metrics[f"{prefix}_hits"] = stats.hits
-            metrics[f"{prefix}_misses"] = stats.misses
-            metrics[f"{prefix}_stale_hits"] = stats.stale_hits
-            metrics[f"{prefix}_validations"] = stats.validations
-            metrics[f"{prefix}_validation_failures"] = stats.validation_failures
-            metrics[f"{prefix}_hit_ratio"] = stats.hit_ratio
-            metrics[f"{prefix}_stale_ratio"] = stats.stale_ratio
-            metrics[f"{prefix}_validation_ratio"] = stats.validation_ratio
-        return metrics
 
     def report(self) -> "Report":
         """This cell's result as a unified :class:`repro.api.Report`.
@@ -215,37 +162,6 @@ class SweepResult:
             raise KeyError(
                 f"no sweep cell {key!r}; have {sorted(self._by_key)}"
             ) from None
-
-    def metrics(self) -> Dict[Tuple, Dict[str, float]]:
-        """Per-cell metric dictionaries keyed by grid coordinates.
-
-        Tuple keys are the Python-side accessor; they cannot serialise
-        to JSON — use :meth:`to_json` for that.
-        """
-        return {cell.key: cell.metrics() for cell in self.cells}
-
-    def reports(self) -> Dict[str, "Report"]:
-        """Per-cell unified Reports keyed by string grid coordinates."""
-        return {cell.key_string: cell.report() for cell in self.cells}
-
-    def to_json(self) -> Dict[str, object]:
-        """The sweep as one ``json.dumps``-ready document.
-
-        ``cells`` maps each cell's :attr:`~SweepCell.key_string` grid
-        coordinate to its unified Report JSON; the envelope carries the
-        shared ``report_version`` + provenance stamp.
-        """
-        from repro.api.report import REPORT_VERSION, provenance
-
-        return {
-            "report_version": REPORT_VERSION,
-            "kind": "sweep",
-            "provenance": provenance(),
-            "cells": {
-                cell.key_string: cell.report().to_json()
-                for cell in self.cells
-            },
-        }
 
 
 class ScenarioRunner:
@@ -438,7 +354,7 @@ class ScenarioRunner:
         *topologies* accepts :class:`TopologySpec` instances or preset
         names (see :mod:`repro.scenarios.presets`); each cell derives
         its scenario from *base* (topology loss overridden per cell)
-        and returns per-cell metrics via :class:`SweepResult`.
+        and returns per-cell results via :class:`SweepResult`.
 
         *cache_placements* and *schemes* are optional extra axes (the
         Section 6.1 caching study). A placement is a
@@ -458,7 +374,7 @@ class ScenarioRunner:
         ``"process"``) or passes an executor instance; leaving it
         ``None`` picks ``process`` when ``workers`` > 1 and ``serial``
         otherwise. Results are merged in grid-enumeration order and the
-        per-cell metrics are bit-identical across executors — every
+        per-cell results are bit-identical across executors — every
         cell seeds its own simulator.
         """
         cells = self.enumerate_cells(

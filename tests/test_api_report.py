@@ -25,6 +25,7 @@ from repro.api import (
     provenance,
     report_from_experiment_result,
     run,
+    sweep_report,
 )
 from repro.api.schema import (
     SchemaError,
@@ -118,6 +119,49 @@ class TestRunSpec:
         json.dumps(payload)
         assert payload["topology"]["loss"] == 0.25
         assert payload["caching"]["placement"] == "client-coap"
+
+    def test_from_spec_parses_live_name_universe_keys(self):
+        spec = RunSpec.from_spec(
+            "substrate=live,dataset=moniotr,name-seed=11"
+        )
+        assert spec.live.dataset == "moniotr"
+        assert spec.live.name_seed == 11
+        assert RunSpec.from_spec("name_seed=3").live.name_seed == 3
+
+    def test_live_rejects_duration(self):
+        # A live run lasts queries/rate; duration= would be ignored.
+        with pytest.raises(ApiError, match="queries="):
+            RunSpec.from_spec("substrate=live,duration=3")
+        assert RunSpec.from_spec("duration=3").scenario.run_duration == 3.0
+
+    def test_expand_is_the_cross_product_in_spec_order(self):
+        cells = RunSpec.expand(
+            "figure2|one-hop,queries=4,transport=udp|coap,loss=0.05|0.25"
+        )
+        assert list(cells) == [
+            f"{topology},transport={transport},loss={loss}"
+            for topology in ("figure2", "one-hop")
+            for transport in ("udp", "coap")
+            for loss in ("0.05", "0.25")
+        ]
+        cell = cells["one-hop,transport=coap,loss=0.25"]
+        assert cell.scenario.topology.hops == 1
+        assert cell.scenario.transport == "coap"
+        assert cell.scenario.topology.loss == 0.25
+        assert cell.scenario.workload.num_queries == 4
+
+    def test_expand_without_alternatives_is_one_cell(self):
+        cells = RunSpec.expand("one-hop,queries=4")
+        assert list(cells) == [""]
+        assert cells[""] == RunSpec.from_spec("one-hop,queries=4")
+
+    def test_expand_rejects_bad_and_duplicate_cells(self):
+        from repro.scenarios import ScenarioError
+
+        with pytest.raises(ScenarioError):
+            RunSpec.expand("transport=udp|coap,cache=client-coap+proxy")
+        with pytest.raises(ApiError, match="duplicate"):
+            RunSpec.expand("loss=0.1|0.1")
 
 
 # -- Report ----------------------------------------------------------------
@@ -385,28 +429,30 @@ class TestSweepJson:
         )
 
     def test_metrics_keeps_tuple_accessor(self, sweep):
-        metrics = sweep.metrics()
-        assert ("udp", "one-hop", 0.0) in metrics
-        with pytest.raises(TypeError):
-            json.dumps(metrics)  # tuple keys are Python-only, by design
+        assert ("udp", "one-hop", 0.0) in {cell.key for cell in sweep}
+        assert sweep.cell("udp", "one-hop", 0.0).transport == "udp"
 
     def test_cell_metrics_gain_p99_and_mean(self, sweep):
         for cell in sweep:
-            metrics = cell.metrics()
-            assert metrics["median_s"] <= metrics["p95_s"] <= metrics["p99_s"]
-            assert metrics["p99_s"] <= metrics["max_s"]
-            assert metrics["median_s"] <= metrics["mean_s"] <= metrics["max_s"]
+            metrics = cell.report().metrics
+            p50, p95, p99, mean, top = (
+                metrics[f"latency.{key}"]
+                for key in ("p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms")
+            )
+            assert p50 <= p95 <= p99 <= top
+            assert p50 <= mean <= top
 
-    def test_to_json_uses_string_grid_keys(self, sweep):
-        payload = sweep.to_json()
+    def test_to_json_uses_string_grid_keys(self):
+        cells = RunSpec.expand("one-hop,transport=udp|coap,queries=4,loss=0")
+        payload = sweep_report({key: run(spec) for key, spec in cells.items()})
         json.dumps(payload)  # serialisable as-is
         assert payload["report_version"] == REPORT_VERSION
-        assert sorted(payload["cells"]) == ["coap/one-hop/0", "udp/one-hop/0"]
+        assert payload["kind"] == "sweep"
+        assert list(payload["cells"]) == ["transport=udp", "transport=coap"]
         validate(payload, SCHEMA)
 
     def test_cell_reports_are_unified(self, sweep):
-        reports = sweep.reports()
-        report = reports["udp/one-hop/0"]
+        report = sweep.cell("udp", "one-hop", 0.0).report()
         assert report.substrate == "sim"
         assert report.spec["transport"] == "udp"
         assert report.metrics["queries.issued"] == 4
@@ -538,20 +584,22 @@ def test_schema_is_valid_draft7_and_agrees_with_jsonschema():
 # -- the live loadgen Report entry point -----------------------------------
 
 
-def test_generate_report_returns_unified_report():
-    from repro.live import DocLiveServer, LiveResolver, generate_report
+def test_loadgen_pass_converts_to_unified_report():
+    from repro.api.report import report_from_loadgen
+    from repro.live import DocLiveServer, LiveResolver, generate_load
 
     async def body():
         server = DocLiveServer(transport="udp", port=0, num_names=8)
         async with server:
             async with LiveResolver(server.endpoint, transport="udp") as r:
-                return await generate_report(
-                    r, server.names,
-                    server_stats=server.stats(),
-                    rate=100.0, duration=0.2, timeout=5.0, seed=5,
+                load = await generate_load(
+                    r, server.names, rate=100.0, duration=0.2,
+                    timeout=5.0, seed=5, include_latencies=True,
                 )
+            return load, server.stats()
 
-    report = asyncio.run(asyncio.wait_for(body(), timeout=20))
+    load, stats = asyncio.run(asyncio.wait_for(body(), timeout=20))
+    report = report_from_loadgen(load, server_stats=stats)
     assert isinstance(report, Report)
     assert report.substrate == "live"
     assert report.metrics["queries.issued"] > 0

@@ -265,13 +265,13 @@ class TestSweep:
         assert ("oscore", "one-hop", 0.25) in keys
 
     def test_per_cell_metrics(self, sweep):
-        metrics = sweep.metrics()
-        assert len(metrics) == 12
-        for key, cell_metrics in metrics.items():
-            assert cell_metrics["queries"] == 8, key
-            assert cell_metrics["success_rate"] > 0.0, key
-            assert cell_metrics["median_s"] > 0.0, key
-            assert cell_metrics["frames_1hop"] > 0, key
+        assert len(sweep) == 12
+        for cell in sweep:
+            metrics = cell.report().metrics
+            assert metrics["queries.issued"] == 8, cell.key
+            assert metrics["queries.success_rate"] > 0.0, cell.key
+            assert metrics["latency.p50_ms"] > 0.0, cell.key
+            assert metrics["sim.link.frames_1hop"] > 0, cell.key
 
     def test_cell_lookup(self, sweep):
         cell = sweep.cell("coap", "one-hop", 0.05)

@@ -545,4 +545,4 @@ class TestScheduleManyBitIdentity:
         for cell_b, cell_l in zip(cells_batched, cells_looped):
             assert cell_b.result.outcomes == cell_l.result.outcomes
             assert cell_b.result.cache_stats == cell_l.result.cache_stats
-            assert cell_b.metrics() == cell_l.metrics()
+            assert cell_b.report().metrics == cell_l.report().metrics

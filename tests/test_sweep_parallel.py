@@ -1,7 +1,7 @@
 """Parallel sweep execution: determinism and plumbing.
 
 The acceptance bar for the parallel executor is bit-identical results:
-``sweep(workers=4)`` must produce exactly the metrics of
+``sweep(workers=4)`` must produce exactly the results of
 ``sweep(workers=1)`` for a grid that exercises the cache-placement and
 scheme axes, because every cell seeds its own simulator and no state
 crosses cells.
@@ -32,12 +32,13 @@ class TestParallelSweepDeterminism:
         serial = runner.sweep(**grid, workers=1)
         parallel = runner.sweep(**grid, workers=4)
         assert len(serial) == len(parallel) == 4
-        serial_metrics = serial.metrics()
-        parallel_metrics = parallel.metrics()
-        # Same cells in the same grid order, and bit-identical metric
-        # values (floats included — the simulations are deterministic).
-        assert list(serial_metrics) == list(parallel_metrics)
-        assert serial_metrics == parallel_metrics
+        # Same cells in the same grid order, and bit-identical outcomes
+        # and metric values (floats included — the simulations are
+        # deterministic; Report latencies are rounded, outcomes are not).
+        assert [cell.key for cell in serial] == [cell.key for cell in parallel]
+        for cell_s, cell_p in zip(serial, parallel):
+            assert cell_s.result.outcomes == cell_p.result.outcomes
+            assert cell_s.report().metrics == cell_p.report().metrics
 
     def test_explicit_process_executor_name(self):
         runner = ScenarioRunner()
@@ -49,7 +50,10 @@ class TestParallelSweepDeterminism:
         )
         serial = runner.sweep(**grid, executor="serial")
         process = runner.sweep(**grid, executor="process", workers=2)
-        assert serial.metrics() == process.metrics()
+        for cell_s, cell_p in zip(serial, process, strict=True):
+            assert cell_s.key == cell_p.key
+            assert cell_s.result.outcomes == cell_p.result.outcomes
+            assert cell_s.report().metrics == cell_p.report().metrics
 
     def test_enumerate_cells_is_pure(self):
         runner = ScenarioRunner()
@@ -72,10 +76,10 @@ class TestParallelSweepDeterminism:
             topologies=("figure2",),
             losses=(0.0,),
         )
-        metrics = sweep.cell("coap", "figure2", 0.0).metrics()
-        assert metrics["frames_1hop"] > 0
-        assert metrics["bytes_2hop"] > 0
-        assert metrics["success_rate"] == 1.0
+        metrics = sweep.cell("coap", "figure2", 0.0).report().metrics
+        assert metrics["sim.link.frames_1hop"] > 0
+        assert metrics["sim.link.bytes_2hop"] > 0
+        assert metrics["queries.success_rate"] == 1.0
 
 
 class TestRepeatedRunsParallel:
