@@ -431,7 +431,12 @@ def report_from_experiment_result(
     if len(runs) == 1 and runs[0].outcomes:
         from repro.obs.telemetry import timeline_from_outcomes
 
-        telemetry = timeline_from_outcomes(runs[0].outcomes)
+        outcomes = runs[0].outcomes
+        telemetry = timeline_from_outcomes(
+            [outcome.issued_at for outcome in outcomes],
+            [outcome.resolution_time for outcome in outcomes],
+            [outcome.error for outcome in outcomes],
+        )
     return Report(
         substrate="sim",
         spec=spec if spec is not None else {},

@@ -16,7 +16,7 @@ logarithmic.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Any, Hashable, List, Mapping, Optional, Tuple
 
 #: Compact when the heap holds this many times more records than the
 #: store has entries (bounds memory and amortises the rebuild).
@@ -28,18 +28,21 @@ class ExpiryIndex:
 
     Parameters
     ----------
-    current_expiry:
-        Callback mapping a key to its live expiry time, or ``None``
-        when the key is no longer stored. This is how the heap decides
-        whether a record is current without write-through bookkeeping.
+    entries:
+        The owning store's key → entry mapping, read (never written) to
+        decide whether a record is current: it is when the key is still
+        stored and its entry's ``expires_at`` equals the record's. The
+        index holds the mapping itself, not a callback into its owner,
+        so a cache and its index form no reference cycle and are freed
+        by reference counting alone.
     """
 
-    def __init__(
-        self, current_expiry: Callable[[Hashable], Optional[float]]
-    ) -> None:
+    __slots__ = ("_heap", "_counter", "_entries")
+
+    def __init__(self, entries: Mapping[Hashable, Any]) -> None:
         self._heap: List[Tuple[float, int, Hashable]] = []
         self._counter = 0
-        self._current_expiry = current_expiry
+        self._entries = entries
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -51,11 +54,14 @@ class ExpiryIndex:
 
     def _skim(self) -> Optional[Tuple[float, Hashable]]:
         """Drop dead records off the top; return the current minimum."""
-        while self._heap:
-            expires_at, _, key = self._heap[0]
-            if self._current_expiry(key) == expires_at:
+        heap = self._heap
+        entries = self._entries
+        while heap:
+            expires_at, _, key = heap[0]
+            entry = entries.get(key)
+            if entry is not None and entry.expires_at == expires_at:
                 return expires_at, key
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
         return None
 
     def peek_expired(self, now: float) -> Optional[Hashable]:
@@ -80,13 +86,15 @@ class ExpiryIndex:
             return
         current = []
         seen = set()
+        entries = self._entries
         # Keep the newest record per key (later counter wins).
         for expires_at, counter, key in sorted(
             self._heap, key=lambda rec: -rec[1]
         ):
             if key in seen:
                 continue
-            if self._current_expiry(key) == expires_at:
+            entry = entries.get(key)
+            if entry is not None and entry.expires_at == expires_at:
                 seen.add(key)
                 current.append((expires_at, counter, key))
         heapq.heapify(current)

@@ -107,6 +107,14 @@ class KeyedCache:
         (``response``/``ttl``/``max_age``) over the shared fields.
     """
 
+    # Slotted and cycle-free: the fleet holds one cache per active client,
+    # and a cache with no ``__dict__`` and no reference back to itself is
+    # small and freed by reference counting, never by the cyclic GC.
+    __slots__ = (
+        "_capacity", "_policy", "_keep_stale", "_entry_factory", "_entries",
+        "_expiry", "_refresh_recency", "stats",
+    )
+
     def __init__(
         self,
         capacity: int,
@@ -122,7 +130,7 @@ class KeyedCache:
         self._keep_stale = keep_stale
         self._entry_factory = entry_factory
         self._entries: "OrderedDict[Hashable, CacheEntry]" = OrderedDict()
-        self._expiry = ExpiryIndex(self._current_expiry)
+        self._expiry = ExpiryIndex(self._entries)
         # Decided once: only FIFO leaves recency untouched on hits.
         self._refresh_recency = policy is not EvictionPolicy.FIFO
         self.stats = stats if stats is not None else CacheStats()
@@ -149,10 +157,6 @@ class KeyedCache:
 
     def entries(self) -> Iterator[Tuple[Hashable, CacheEntry]]:
         return iter(self._entries.items())
-
-    def _current_expiry(self, key: Hashable) -> Optional[float]:
-        entry = self._entries.get(key)
-        return None if entry is None else entry.expires_at
 
     # -- lookups ----------------------------------------------------------
 

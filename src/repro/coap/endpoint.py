@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.cache import EvictionPolicy, KeyedCache
 from repro.sim.clock import Clock, Timer
 
 from .blockwise import Block, BlockAssembler, block_for
@@ -31,6 +32,12 @@ from .reliability import ReliabilityParams, TransmissionState
 
 #: How long (peer, MID) pairs are remembered for deduplication.
 EXCHANGE_LIFETIME = 247.0
+
+#: Entries each of a server's block-wise tables holds (full Block2
+#: responses awaiting continuations, Block1 uploads being assembled).
+#: Beyond it the least recently used transfer is evicted, so a stream
+#: of distinct tokens cannot grow a long-running server without limit.
+BLOCKWISE_TABLE_CAPACITY = 256
 
 
 class CoapTimeoutError(Exception):
@@ -384,9 +391,15 @@ class CoapServer:
         self.default_handler: Optional[ResourceHandler] = None
         #: (peer, mid) -> encoded reply, for deduplication.
         self._dedup: Dict[Tuple[str, int, int], bytes] = {}
-        #: Block2 continuation state: full responses by cache key-ish token.
-        self._block2_store: Dict[Tuple, CoapMessage] = {}
-        self._block1_assembly: Dict[Tuple[str, int], BlockAssembler] = {}
+        #: Block-wise state, bounded LRU tables whose entries live one
+        #: exchange lifetime: full Block2 responses by (peer, token),
+        #: and Block1 assemblers by token.
+        self._block2_store = KeyedCache(
+            BLOCKWISE_TABLE_CAPACITY, policy=EvictionPolicy.LRU
+        )
+        self._block1_assembly = KeyedCache(
+            BLOCKWISE_TABLE_CAPACITY, policy=EvictionPolicy.LRU
+        )
         self._separate_pending: Dict[int, Callable[[], None]] = {}
         self._current_peer: Tuple[str, int] = ("", 0)
         self._next_mid = sim.rng.randrange(0x10000)
@@ -463,10 +476,15 @@ class CoapServer:
             return message, None
         block = Block.decode(block1_data)
         key = (message.token.hex(), 1)
-        assembler = self._block1_assembly.get(key)
-        if assembler is None or block.number == 0:
+        now = self.sim.now
+        entry, _ = self._block1_assembly.lookup(key, now)
+        if entry is None or block.number == 0:
             assembler = BlockAssembler()
-            self._block1_assembly[key] = assembler
+            self._block1_assembly.store(
+                key, assembler, lifetime=EXCHANGE_LIFETIME, now=now
+            )
+        else:
+            assembler = entry.value
         try:
             complete = assembler.add(block, message.payload)
         except Exception:
@@ -476,7 +494,7 @@ class CoapServer:
                 OptionNumber.BLOCK1, block.encode()
             )
             return None, reply
-        del self._block1_assembly[key]
+        self._block1_assembly.remove(key)
         from dataclasses import replace
 
         full = replace(message, payload=assembler.body()).without_option(
@@ -499,8 +517,8 @@ class CoapServer:
         if block.number == 0:
             return False
         key = self._block2_key(message, src_addr, src_port)
-        full = self._block2_store.get(key)
-        if full is None:
+        entry, _ = self._block2_store.lookup(key, self.sim.now)
+        if entry is None:
             self._reply(
                 message, src_addr, src_port,
                 message.make_response(Code.REQUEST_ENTITY_INCOMPLETE),
@@ -509,6 +527,7 @@ class CoapServer:
             return True
         from dataclasses import replace
 
+        full = entry.value
         try:
             blk, chunk = block_for(full.payload, block.number, block.size)
         except Exception:
@@ -539,7 +558,9 @@ class CoapServer:
         # Store the full response for continuations, send block 0.
         src_addr, src_port = self._current_peer
         key = self._block2_key(request, src_addr, src_port)
-        self._block2_store[key] = response
+        self._block2_store.store(
+            key, response, lifetime=EXCHANGE_LIFETIME, now=self.sim.now
+        )
         from dataclasses import replace
 
         blk, chunk = block_for(response.payload, 0, preferred.size)

@@ -13,7 +13,13 @@ expectation for the scaled fleet.
 
 Caches materialise lazily on a client's first query: a million-client
 run with fifty queries holds fifty clients' worth of cache state, and a
-sampled run at most the sample cap's worth.
+sampled run at most the sample cap's worth. That state is the only
+thing a fleet run allocates per client, so it is kept lean: a
+``KeyedCache`` and its expiry index are slotted (no ``__dict__``), and
+the index reads the cache's entry mapping rather than calling back into
+the cache, so the pair forms no reference cycle. A 1M-client run's
+131k caches are freed by reference counting the moment the model goes,
+and the cyclic garbage collector never has to find them.
 
 Client churn is applied here: with churn rate λ, a client alive since
 its last query survives the gap ``dt`` with probability ``exp(-λ·dt)``

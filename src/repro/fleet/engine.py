@@ -24,6 +24,14 @@ Semantics mirror the exact per-node stack query-for-query:
 * arrivals after ``run_duration`` never issue, and exchanges still in
   flight at ``run_duration`` count as unresolved — both exactly as the
   event loop's ``run(until=...)`` cutoff behaves.
+
+The run allocates per-client cache state only, never a per-query
+object: each sampled query appends one value to each of six flat
+columns on :class:`FleetResult` (issue instant, resolution time,
+error name, record type, name index, client index), and the report
+reads those columns directly. Error names are the exact simulator's
+exception class names, shared module constants, so the sim and fleet
+tallies and telemetry classify failures alike.
 """
 
 from __future__ import annotations
@@ -33,9 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cache import LookupState
-from repro.experiments.resolution import QueryOutcome
 from repro.live.reservoir import LatencyReservoir
-from repro.scenarios.runner import NAME_TEMPLATE
 from repro.scenarios.scenario import Scenario
 from repro.transports.registry import registry
 
@@ -51,6 +57,10 @@ from .cache import FleetCacheModel
 from .options import FleetOptions
 from .service import Calibration, ServiceModel, calibrate
 
+#: Error-column values: the exception names the exact simulator records.
+TIMEOUT_ERROR = "TimeoutError"
+RCODE_ERROR = "RcodeError"
+
 
 @dataclass
 class FleetResult:
@@ -60,8 +70,16 @@ class FleetResult:
     options: FleetOptions
     plan: SamplePlan
     calibration: Calibration
-    #: Sampled-query outcomes (the exact-sim vocabulary), unscaled.
-    outcomes: List[QueryOutcome]
+    #: Per-query columns of the sample, unscaled, in issue order: issue
+    #: instant (s), resolution latency (s; ``None`` when unresolved),
+    #: error name (``None``, :data:`TIMEOUT_ERROR` or
+    #: :data:`RCODE_ERROR`), record type, name index and client index.
+    issued_at: List[float]
+    resolution_time: List[Optional[float]]
+    error: List[Optional[str]]
+    rtype: List[int]
+    name_index: List[int]
+    client: List[int]
     #: Bounded success-latency sample (seconds).
     reservoir: LatencyReservoir
     #: Per-location cache counters of the sample, fleet-scaled.
@@ -129,7 +147,12 @@ def run_fleet(
     )
     service = ServiceModel(calibration)
     reservoir = LatencyReservoir(seed=scenario.seed)
-    outcomes: List[QueryOutcome] = []
+    issued_col: List[float] = []
+    rtime_col: List[Optional[float]] = []
+    error_col: List[Optional[str]] = []
+    rtype_col: List[int] = []
+    name_col: List[int] = []
+    client_col: List[int] = []
     wired_clients = set()
     run_duration = scenario.run_duration
 
@@ -140,22 +163,21 @@ def run_fleet(
         client = clients[index]
         name_index = names[index]
         rtype = workload.draw_rtype(rng)
-        outcome = QueryOutcome(
-            name=NAME_TEMPLATE.format(index=name_index),
-            client=f"fleet{client}",
-            issued_at=issued_at,
-            resolution_time=None,
-            rtype=rtype,
-        )
-        outcomes.append(outcome)
+        issued_col.append(issued_at)
+        rtype_col.append(rtype)
+        name_col.append(name_index)
+        client_col.append(client)
         cache_model.touch(client, issued_at)
-        key = (name_index, rtype)
+        # One int per (name, type) pair, not a tuple: record types fit
+        # in 16 bits, and an int key is no object for the cyclic GC.
+        key = name_index << 16 | rtype
 
         dns = cache_model.dns(client)
         if dns is not None:
             entry, state = dns.lookup(key, issued_at)
             if state is LookupState.HIT:
-                outcome.resolution_time = 0.0
+                rtime_col.append(0.0)
+                error_col.append(None)
                 reservoir.add(0.0)
                 continue
 
@@ -164,7 +186,8 @@ def run_fleet(
         if coap is not None:
             entry, state = coap.lookup(key, issued_at)
             if state is LookupState.HIT:
-                outcome.resolution_time = 0.0
+                rtime_col.append(0.0)
+                error_col.append(None)
                 reservoir.add(0.0)
                 if dns is not None:
                     remaining = entry.expires_at - issued_at
@@ -180,17 +203,19 @@ def run_fleet(
         wired_clients.add(client)
         kind, latency = service.draw(first_exchange)
         if kind != ServiceModel.OK:
-            outcome.error = (
-                "TimeoutError" if kind == ServiceModel.TIMEOUT
-                else "RcodeError"
+            rtime_col.append(None)
+            error_col.append(
+                TIMEOUT_ERROR if kind == ServiceModel.TIMEOUT else RCODE_ERROR
             )
             continue
+        error_col.append(None)
         done = issued_at + latency
         if done > run_duration:
             # Still in flight when the run ends: unresolved, no error —
             # the same fate the event-loop cutoff hands such queries.
+            rtime_col.append(None)
             continue
-        outcome.resolution_time = latency
+        rtime_col.append(latency)
         reservoir.add(latency)
         ttl = ttls[name_index]
         if coap is not None and ttl > 0:
@@ -206,7 +231,12 @@ def run_fleet(
         options=options,
         plan=plan,
         calibration=calibration,
-        outcomes=outcomes,
+        issued_at=issued_col,
+        resolution_time=rtime_col,
+        error=error_col,
+        rtype=rtype_col,
+        name_index=name_col,
+        client=client_col,
         reservoir=reservoir,
         cache_stats=cache_model.scaled_stats(plan.query_scale),
         active_clients=cache_model.active_clients,

@@ -24,7 +24,7 @@ from repro.api.report import (
     tally_metrics,
 )
 
-from .engine import FleetResult
+from .engine import RCODE_ERROR, TIMEOUT_ERROR, FleetResult
 
 
 def _scaled_telemetry(
@@ -32,7 +32,7 @@ def _scaled_telemetry(
 ) -> Optional[List[Dict[str, object]]]:
     """The per-second timeline, with counts scaled to fleet totals.
 
-    Buckets come from the sampled outcomes via the shared
+    Buckets come from the sample's per-query columns via the shared
     :func:`~repro.obs.telemetry.timeline_from_outcomes`; each
     snapshot's counters then scale by the plan's query scale (rounded
     back to integers) and its rate recomputes from the scaled count, so
@@ -40,11 +40,13 @@ def _scaled_telemetry(
     quantiles stay unscaled — sampling thins the population, not the
     per-query latency distribution.
     """
-    if not result.outcomes:
+    if not result.issued_at:
         return None
     from repro.obs.telemetry import timeline_from_outcomes
 
-    timeline = timeline_from_outcomes(result.outcomes)
+    timeline = timeline_from_outcomes(
+        result.issued_at, result.resolution_time, result.error
+    )
     scale = result.plan.query_scale
     if scale == 1.0:
         return timeline
@@ -64,21 +66,18 @@ def _tally_fleet(result: FleetResult) -> RunTally:
     totals."""
     plan = result.plan
     scale = plan.query_scale
-    succeeded = timeouts = rcode_failures = 0
-    first_issue: Optional[float] = None
+    succeeded = 0
     last_done: Optional[float] = None
-    for outcome in result.outcomes:
-        if outcome.resolution_time is not None:
+    for issued_at, rtime in zip(result.issued_at, result.resolution_time):
+        if rtime is not None:
             succeeded += 1
-            done = outcome.issued_at + outcome.resolution_time
-            last_done = done if last_done is None else max(last_done, done)
-        elif outcome.error == "TimeoutError":
-            timeouts += 1
-        elif outcome.error == "RcodeError":
-            rcode_failures += 1
-        if first_issue is None or outcome.issued_at < first_issue:
-            first_issue = outcome.issued_at
-    issued = int(round(len(result.outcomes) * scale))
+            done = issued_at + rtime
+            if last_done is None or done > last_done:
+                last_done = done
+    timeouts = result.error.count(TIMEOUT_ERROR)
+    rcode_failures = result.error.count(RCODE_ERROR)
+    first_issue = min(result.issued_at, default=None)
+    issued = int(round(len(result.issued_at) * scale))
     ok = int(round(succeeded * scale))
     failed = issued - ok
     # Round the failure breakdown inside the scaled failure total so

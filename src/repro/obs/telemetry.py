@@ -17,8 +17,9 @@ winning bucket) — estimates, but consistent between live scrapes,
 streamed lines, and the Report's ``telemetry`` block.
 
 The same vocabulary covers simulation: :func:`timeline_from_outcomes`
-buckets a finished sim run's per-query outcomes by completion second,
-so ``repro run`` reports carry the identical block either substrate.
+buckets a finished sim or fleet run's per-query columns by issue
+second, so ``repro run`` reports carry the identical block on every
+substrate.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import time
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Union,
+    Any, Callable, Dict, List, Optional, Sequence, Union,
 )
 
 from .metrics import MetricsRegistry
@@ -351,19 +352,25 @@ def merge_timelines(
 
 
 def timeline_from_outcomes(
-    outcomes: Iterable[object], interval: float = 1.0
+    issued_at: Sequence[float],
+    resolution_time: Sequence[Optional[float]],
+    error: Sequence[Optional[str]],
+    interval: float = 1.0,
 ) -> List[Dict[str, Any]]:
-    """Build the telemetry timeline for a finished simulation run.
+    """Build the telemetry timeline for a finished sim or fleet run.
 
-    *outcomes* are :class:`repro.experiments.resolution.QueryOutcome`
-    rows (anything with ``issued_at``/``resolution_time``/``error``).
-    Queries bucket by issue time; a bucket's latency stats are exact
-    percentiles over the successes completing there — the sim has the
-    full sample set, so no histogram estimation is needed.
+    The three arguments are parallel per-query columns: issue instant,
+    resolution latency (``None`` on failure) and error name (``None``
+    when there was none; a name containing "timeout" counts as a
+    timeout). The exact simulator passes them from its
+    :class:`repro.experiments.resolution.QueryOutcome` rows; the fleet
+    engine keeps them as columns. Queries bucket by issue time; a
+    bucket's latency stats are exact percentiles over the successes
+    completing there — the sim has the full sample set, so no
+    histogram estimation is needed.
     """
     buckets: Dict[int, Dict[str, Any]] = {}
-    for outcome in outcomes:
-        issued = getattr(outcome, "issued_at", 0.0) or 0.0
+    for issued, rtime, failure in zip(issued_at, resolution_time, error):
         index = int(issued / interval)
         bucket = buckets.get(index)
         if bucket is None:
@@ -372,14 +379,12 @@ def timeline_from_outcomes(
                 "latencies": [],
             }
         bucket["queries"] += 1
-        rtime = getattr(outcome, "resolution_time", None)
         if rtime is not None:
             bucket["succeeded"] += 1
             bucket["latencies"].append(rtime)
         else:
             bucket["failed"] += 1
-            error = (getattr(outcome, "error", "") or "").lower()
-            if "timeout" in error:
+            if failure and "timeout" in failure.lower():
                 bucket["timeouts"] += 1
     timeline: List[Dict[str, Any]] = []
     if not buckets:

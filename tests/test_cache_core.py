@@ -150,34 +150,69 @@ class TestBulkExpiry:
         assert len(cache) == 1000
 
 
+def _expiring(at: float) -> CacheEntry:
+    """A stored entry whose ``expires_at`` is *at*."""
+    return CacheEntry(None, stored_at=0.0, lifetime=at)
+
+
 class TestExpiryIndex:
     def test_lazy_invalidation(self):
         live = {}
-        index = ExpiryIndex(live.get)
-        live["a"] = 5.0
+        index = ExpiryIndex(live)
+        live["a"] = _expiring(5.0)
         index.push(5.0, "a")
         index.push(9.0, "a")   # superseded record
-        live["a"] = 9.0
+        live["a"] = _expiring(9.0)
         assert index.peek_expired(6.0) is None   # 5.0 record is dead
         assert index.pop_expired(10.0) == "a"
 
     def test_compaction_bounds_heap(self):
         live = {}
-        index = ExpiryIndex(live.get)
+        index = ExpiryIndex(live)
         for round_number in range(50):
-            live["k"] = float(round_number)
+            live["k"] = _expiring(float(round_number))
             index.push(float(round_number), "k")
             index.compact_if_needed(live_entries=1)
         assert len(index) <= 8
 
     def test_peek_does_not_pop(self):
-        live = {"a": 1.0}
-        index = ExpiryIndex(live.get)
+        live = {"a": _expiring(1.0)}
+        index = ExpiryIndex(live)
         index.push(1.0, "a")
         assert index.peek_expired(2.0) == "a"
         assert index.peek_expired(2.0) == "a"
         assert index.pop_expired(2.0) == "a"
         assert index.pop_expired(2.0) is None
+
+
+class TestNoReferenceCycles:
+    def test_dropped_caches_leave_no_cyclic_garbage(self):
+        """A cache and its expiry index are freed by reference counting:
+        the cyclic collector finds nothing once they are dropped."""
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            for policy in EvictionPolicy:
+                cache = KeyedCache(2, policy=policy, keep_stale=True)
+                cache.store("a", 1, lifetime=1.0, now=0.0)
+                cache.store("b", 2, lifetime=5.0, now=0.0)
+                assert cache.lookup("a", now=0.5)[1] is LookupState.HIT
+                assert cache.lookup("a", now=2.0)[1] is LookupState.STALE
+                cache.refresh("a", now=2.0, lifetime=1.0)
+                cache.store("c", 3, lifetime=5.0, now=4.0)   # evicts
+                assert len(cache) == 2
+                assert cache.expire(now=10.0) == 2
+                del cache
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_caches_have_no_instance_dict(self):
+        cache = KeyedCache(4)
+        assert not hasattr(cache, "__dict__")
+        assert not hasattr(cache._expiry, "__dict__")
 
 
 class TestCacheStats:

@@ -212,3 +212,83 @@ class TestFullStackProperties:
         result, error = results[0]
         assert error is None
         assert result.addresses == ["2001:db8::1"]
+
+
+class _RecordingSocket:
+    """A datagram socket stand-in that keeps what the server sends."""
+
+    def __init__(self):
+        self.on_datagram = None
+        self.sent = []
+
+    def sendto(self, data, addr, port, metadata=None):
+        self.sent.append(data)
+
+
+class TestBoundedBlockwiseState:
+    def test_distinct_tokens_cannot_grow_blockwise_tables(self):
+        from repro.coap.blockwise import Block
+        from repro.coap.endpoint import BLOCKWISE_TABLE_CAPACITY
+        from repro.sim import Simulator
+
+        sim = Simulator(seed=1)
+        socket = _RecordingSocket()
+        server = CoapServer(sim, socket)
+        server.add_resource(
+            "/big",
+            lambda request, respond, metadata: respond(
+                request.make_response(Code.CONTENT, payload=b"r" * 64)
+            ),
+        )
+        tokens = 10_000
+        for index in range(tokens):
+            token = index.to_bytes(4, "big")
+            # Block2: a 64-byte answer to a 16-byte block request leaves
+            # the full response stored for continuations.
+            download = CoapMessage.request(
+                Code.FETCH, "/big", mid=(2 * index) & 0xFFFF, token=token,
+            ).with_option(OptionNumber.BLOCK2, Block(0, False, 16).encode())
+            # Block1: the first block of an upload that never finishes.
+            upload = CoapMessage.request(
+                Code.FETCH, "/big", mid=(2 * index + 1) & 0xFFFF,
+                token=token, payload=b"u" * 16,
+            ).with_option(OptionNumber.BLOCK1, Block(0, True, 16).encode())
+            socket.on_datagram("fd00::1", 5683 + index, download.encode(), {})
+            socket.on_datagram("fd00::1", 5683 + index, upload.encode(), {})
+        assert len(socket.sent) == 2 * tokens
+        assert len(server._block2_store) == BLOCKWISE_TABLE_CAPACITY
+        assert len(server._block1_assembly) == BLOCKWISE_TABLE_CAPACITY
+        evicted = tokens - BLOCKWISE_TABLE_CAPACITY
+        assert server._block2_store.stats.evictions == evicted
+        assert server._block1_assembly.stats.evictions == evicted
+        # The newest download still got its first block.
+        reply = CoapMessage.decode(socket.sent[-2])
+        assert reply.code == Code.CONTENT and reply.token == token
+
+    def test_block2_state_expires_after_exchange_lifetime(self):
+        from repro.coap.blockwise import Block
+        from repro.coap.endpoint import EXCHANGE_LIFETIME
+        from repro.sim import Simulator
+
+        sim = Simulator(seed=1)
+        socket = _RecordingSocket()
+        server = CoapServer(sim, socket)
+        server.add_resource(
+            "/big",
+            lambda request, respond, metadata: respond(
+                request.make_response(Code.CONTENT, payload=b"r" * 64)
+            ),
+        )
+
+        def block(number, mid):
+            return CoapMessage.request(
+                Code.FETCH, "/big", mid=mid, token=b"t",
+            ).with_option(OptionNumber.BLOCK2, Block(number, False, 16).encode())
+
+        socket.on_datagram("fd00::1", 5683, block(0, 1).encode(), {})
+        socket.on_datagram("fd00::1", 5683, block(1, 2).encode(), {})
+        assert CoapMessage.decode(socket.sent[-1]).code == Code.CONTENT
+        sim.run(until=EXCHANGE_LIFETIME + 1.0)
+        socket.on_datagram("fd00::1", 5683, block(2, 3).encode(), {})
+        assert (CoapMessage.decode(socket.sent[-1]).code
+                == Code.REQUEST_ENTITY_INCOMPLETE)

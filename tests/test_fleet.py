@@ -356,8 +356,8 @@ class TestFleetAtScale:
         assert crowd.metrics["fleet.flash_crowd"] == 5.0
         # Deferral pushes arrivals to wake boundaries, stretching the
         # observed span: the duty-cycled run cannot finish earlier.
-        duty_last = max(o.issued_at for o in duty.raw.outcomes)
-        plain_last = max(o.issued_at for o in plain.raw.outcomes)
+        duty_last = max(duty.raw.issued_at)
+        plain_last = max(plain.raw.issued_at)
         assert duty_last >= plain_last
 
 
@@ -371,7 +371,7 @@ class TestEngineSemantics:
             "cache=client-dns"
         )
         result = run_fleet(scenario)
-        hits = [o for o in result.outcomes if o.resolution_time == 0.0]
+        hits = [t for t in result.resolution_time if t == 0.0]
         assert hits, "expected repeat queries to hit the client DNS cache"
         assert result.cache_stats["client-dns"]["hits"] == len(hits)
 
@@ -404,5 +404,120 @@ class TestEngineSemantics:
         )
         first = run_fleet(scenario)
         second = run_fleet(scenario)
-        assert first.outcomes == second.outcomes
+        for column in ("issued_at", "resolution_time", "error", "rtype",
+                       "name_index", "client"):
+            assert getattr(first, column) == getattr(second, column)
         assert first.cache_stats == second.cache_stats
+
+
+# -- bit-identity pin -------------------------------------------------------
+
+
+def _pin_run(transport, fleet, repeats=1):
+    """A small fleet run busy enough to exercise every cache path.
+
+    Tiny capacities force evictions; short TTLs make client CoAP
+    entries go stale and revalidate; a DNS cache smaller than the CoAP
+    cache leaves room for fresh CoAP hits behind DNS misses.
+    """
+    from repro.scenarios import Scenario, TopologySpec, WorkloadSpec
+
+    scenario = Scenario(
+        transport=transport,
+        topology=TopologySpec(clients=64),
+        workload=WorkloadSpec(
+            num_queries=4000, num_names=12, query_rate=200.0,
+            ttl=(1, 6), zipf_alpha=0.8,
+        ),
+        caching=CachingSpec(
+            client_dns=True, client_coap=True, proxy=False,
+            client_dns_capacity=2, client_coap_capacity=4,
+        ),
+        seed=7,
+    )
+    return run(RunSpec(
+        scenario=scenario, substrate="fleet", fleet=fleet, repeats=repeats,
+    ))
+
+
+def _digest(value) -> str:
+    import hashlib
+
+    blob = json.dumps(value, sort_keys=True, default=repr,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: name -> (transport, fleet options, repeats, metrics digest, telemetry
+#: digest) of the reference Reports. A change to the engine, the cache
+#: model or report assembly that keeps behaviour must leave them
+#: untouched.
+PINNED_RUNS = {
+    "coap-churn-sampled": (
+        "coap", FleetOptions(churn=0.5, sample_cap=2048), 1,
+        "f6da5085e57bc88e6a91a239af4a3ab576831709ca83161a39d55b832f868da5",
+        "d8ee635c1dc27a1af17defea1a131964374f03abe446cc55ef43bd595e679a51",
+    ),
+    "coap-duty-crowd": (
+        "coap", FleetOptions(duty_cycle=0.5, duty_period=4.0,
+                             flash_crowd=3.0), 1,
+        "9b80a459940c873a78535c5abc933198eccebf195e15b3278d04d3ab6cc4a9fb",
+        "9463cf0bd8d608c75f654c38ff62d1d9e539ff396da75363638eaacdf2de6d3d",
+    ),
+    "oscore-duty-crowd": (
+        "oscore", FleetOptions(duty_cycle=0.3, duty_period=4.0,
+                               flash_crowd=4.0), 1,
+        "8db4dcc2f6cd267f51137d70ea3f5444184c4c07de8fc442b6af2c9ab9f70226",
+        "c3d549adc142b36b14ad93a81e59452e78636ffcb2461ab3a2de321f44a50c54",
+    ),
+    "coaps-repeats": (
+        "coaps", FleetOptions(), 2,
+        "78b6c55b0a11965b41ce89a7eabda584a8478f292c51f9e69198993e1da01b31",
+        "74234e98afe7498fb5daf1f36ac2d78acc339464f950703b8c019892f982b90b",
+    ),
+}
+
+
+class TestBitIdentityPin:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_report_digests_are_pinned(self, name):
+        transport, fleet, repeats, metrics_digest, telemetry_digest = (
+            PINNED_RUNS[name]
+        )
+        report = _pin_run(transport, fleet, repeats)
+        assert _digest(report.metrics) == metrics_digest
+        assert _digest(report.telemetry) == telemetry_digest
+
+    def test_pinned_runs_cover_every_cache_path(self):
+        """The pin must not drift to covering only the happy path."""
+        totals = {}
+        dimensions = {"churn": 0.0, "duty_cycle": 1.0, "flash_crowd": 1.0}
+        repeated = False
+        for transport, fleet, repeats, _, _ in PINNED_RUNS.values():
+            report = _pin_run(transport, fleet, repeats)
+            runs = report.raw if isinstance(report.raw, list) else [report.raw]
+            repeated = repeated or len(runs) > 1
+            for result in runs:
+                for location, counters in result.cache_stats.items():
+                    for key in ("hits", "stale_hits", "validations",
+                                "evictions"):
+                        slot = f"{location}.{key}"
+                        totals[slot] = totals.get(slot, 0) + counters[key]
+            dimensions["churn"] = max(dimensions["churn"], fleet.churn)
+            dimensions["duty_cycle"] = min(
+                dimensions["duty_cycle"], fleet.duty_cycle
+            )
+            dimensions["flash_crowd"] = max(
+                dimensions["flash_crowd"], fleet.flash_crowd
+            )
+        assert totals["client-dns.hits"] > 0
+        assert totals["client-coap.hits"] > 0
+        assert totals["client-coap.stale_hits"] > 0
+        assert totals["client-coap.validations"] > 0
+        assert totals["client-dns.evictions"] > 0
+        assert totals["client-coap.evictions"] > 0
+        assert dimensions["churn"] > 0.0
+        assert dimensions["duty_cycle"] < 1.0
+        assert dimensions["flash_crowd"] > 1.0
+        assert "oscore" in {spec[0] for spec in PINNED_RUNS.values()}
+        assert repeated

@@ -379,19 +379,11 @@ def test_merge_timelines_weights_latency_by_successes():
 
 
 def test_timeline_from_outcomes_buckets_by_issue_second():
-    class Outcome:
-        def __init__(self, issued_at, resolution_time=None, error=None):
-            self.issued_at = issued_at
-            self.resolution_time = resolution_time
-            self.error = error
-
-    outcomes = [
-        Outcome(0.1, 0.010),
-        Outcome(0.6, 0.020),
-        Outcome(1.2, None, "timeout waiting for response"),
-        Outcome(2.5, 0.040),
-    ]
-    timeline = timeline_from_outcomes(outcomes)
+    timeline = timeline_from_outcomes(
+        [0.1, 0.6, 1.2, 2.5],
+        [0.010, 0.020, None, 0.040],
+        [None, None, "timeout waiting for response", None],
+    )
     assert [r["t"] for r in timeline] == [1.0, 2.0, 3.0]
     assert timeline[0]["queries"] == 2
     assert timeline[0]["succeeded"] == 2
